@@ -4,13 +4,13 @@
  *
  * run.py launches this binary once per repetition and reads the JSON
  * object it prints as its last stdout line. Every mode times only its
- * own phase and reports `t_first_ns` (CLOCK_MONOTONIC at the first
- * timed operation) so the caller can measure set-up from its spawn.
+ * own phase and reports `t_first_ns` (CLOCK_MONOTONIC just before the
+ * first timed operation, after the mode's own set-up) so the caller can
+ * measure set-up from its spawn.
  *
  *   hmcbench gups      --seed S [--trace] [--setup-only]
  *   hmcbench fleet     --seed S --calls N [--trace] [--setup-only]
- *   hmcbench serve     --seed S --cli PATH --dir DIR --mem-hits N
- *                      [--trace]
+ *   hmcbench serve     --seed S --cli PATH --dir DIR [--trace]
  *   hmcbench serve-ref --seed S
  *
  * Untraced modes call the program the way a user does: SweepRunner,
@@ -233,7 +233,6 @@ struct Args
     unsigned calls = 8;
     std::string cli;
     std::string dir;
-    unsigned memHits = 1000;
 };
 
 [[noreturn]] void
@@ -273,8 +272,6 @@ parseArgs(int argc, char **argv)
             a.cli = value();
         else if (arg == "--dir")
             a.dir = value();
-        else if (arg == "--mem-hits")
-            a.memHits = count();
         else
             die("unknown flag");
     }
@@ -889,6 +886,10 @@ runGups(const Args &a)
 {
     const SweepAxes axes = gupsAxes();
     const std::uint64_t sweepSeed = mixSeed(a.seed, 0x67757073);
+    SweepOptions opts;
+    opts.jobs = benchJobs;
+    opts.sweepSeed = sweepSeed;
+    SweepRunner runner(opts);
     const std::int64_t tFirst = monoNs();
     if (a.setupOnly)
         return printSetupOnly(tFirst);
@@ -896,10 +897,6 @@ runGups(const Args &a)
     out.add("t_first_ns", static_cast<double>(tFirst));
 
     if (!a.trace) {
-        SweepOptions opts;
-        opts.jobs = benchJobs;
-        opts.sweepSeed = sweepSeed;
-        SweepRunner runner(opts);
         const auto t0 = Clock::now();
         const std::vector<SweepPointResult> results = runner.run(axes);
         const double wallNs = nsSince(t0);
@@ -1063,6 +1060,9 @@ nodeSystem(const ServiceNodeConfig &cfg, ArrivalFeed *feed)
 int
 runFleetMode(const Args &a)
 {
+    std::vector<FleetConfig> configs;
+    for (unsigned call = 0; call < a.calls; ++call)
+        configs.push_back(fleetConfig(a.seed, call));
     const std::int64_t tFirst = monoNs();
     if (a.setupOnly)
         return printSetupOnly(tFirst);
@@ -1074,9 +1074,9 @@ runFleetMode(const Args &a)
 
     if (!a.trace) {
         const auto t0 = Clock::now();
-        for (unsigned call = 0; call < a.calls; ++call) {
+        for (const FleetConfig &cfg : configs) {
             const auto c0 = Clock::now();
-            const FleetResult res = runFleet(fleetConfig(a.seed, call));
+            const FleetResult res = runFleet(cfg);
             opMs.push_back(nsSince(c0) / 1e6);
             requests += res.aggregate.requests;
             digests.push_back(quote(hex64(res.aggregate.digest())));
@@ -1117,7 +1117,7 @@ runFleetMode(const Args &a)
     }
     const auto t0 = Clock::now();
     for (unsigned call = 0; call < a.calls; ++call) {
-        const FleetConfig cfg = fleetConfig(a.seed, call);
+        const FleetConfig &cfg = configs[call];
         auto s0 = Clock::now();
         const std::vector<FleetRequest> stream = generateFleetRequests(cfg);
         std::vector<std::vector<Tick>> perNode(cfg.numNodes);
@@ -1252,6 +1252,9 @@ struct ServePlan
     std::size_t storePoints = 0;
 };
 
+/** Repeats within a serve session: its memory hits. */
+constexpr std::size_t serveMemHits = 1000;
+
 /**
  * The store-hit and miss sets each hold every mix x size x backend
  * once, with a seeded vault count from {2, 4, 8, 16} (whose points
@@ -1260,7 +1263,7 @@ struct ServePlan
  * seed and the request order.
  */
 ServePlan
-makeServePlan(std::uint64_t seed, unsigned mem_hits)
+makeServePlan(std::uint64_t seed)
 {
     static const char *mixes[] = {"ro", "wo", "rw"};
     static const unsigned sizes[] = {16, 32, 64, 128};
@@ -1290,7 +1293,7 @@ makeServePlan(std::uint64_t seed, unsigned mem_hits)
 
     std::vector<std::size_t> visited;
     std::size_t next = 0;
-    std::size_t repeats = mem_hits;
+    std::size_t repeats = serveMemHits;
     while (next < firsts.size() || repeats > 0) {
         const std::size_t left = firsts.size() - next;
         const bool first = visited.empty() ||
@@ -1510,7 +1513,7 @@ runServe(const Args &a)
     if (a.cli.empty() || a.dir.empty())
         die("serve needs --cli and --dir");
     ::signal(SIGPIPE, SIG_IGN);
-    const ServePlan plan = makeServePlan(a.seed, a.memHits);
+    const ServePlan plan = makeServePlan(a.seed);
     const std::string store = a.dir + "/store";
     std::filesystem::remove_all(a.dir);
     std::filesystem::create_directories(a.dir);
@@ -1558,10 +1561,20 @@ runServe(const Args &a)
     std::vector<double> sessionPoints;
     for (const auto &entry : plan.session)
         sessionPoints.push_back(static_cast<double>(entry.first));
+    // What the counts must be if every request was served as planned.
+    const JsonObject wantCounts =
+        JsonObject()
+            .add("served", static_cast<double>(1 + plan.session.size()))
+            .add("failed", 0)
+            .add("cache_hits",
+                 static_cast<double>(1 + plan.storePoints + serveMemHits))
+            .add("store_objects", static_cast<double>(plan.points.size()));
     JsonObject out;
     out.add("t_first_ns", static_cast<double>(tFirst))
         .add("ok", ok ? 1 : 0)
+        .add("store_points", static_cast<double>(plan.storePoints))
         .raw("session_points", jsonNumbers(sessionPoints))
+        .raw("want_counts", wantCounts.done())
         .add("wall_s", wallNs / 1e9)
         .raw("miss_us", jsonNumbers(lat[0]))
         .raw("store_hit_us", jsonNumbers(lat[1]))
@@ -1677,7 +1690,7 @@ runServe(const Args &a)
 int
 runServeRef(const Args &a)
 {
-    const ServePlan plan = makeServePlan(a.seed, 0);
+    const ServePlan plan = makeServePlan(a.seed);
     std::vector<ExperimentConfig> configs;
     for (const ServePoint &p : plan.points)
         configs.push_back(derivedConfig(p));

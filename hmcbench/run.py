@@ -45,9 +45,6 @@ SELFCHECK_DIGEST = "e06b2b0e72a63a74"
 # repeat exactly for a seed; a run repeats whole units for --seconds.
 FLEET_CALLS = 40           # runFleet calls per hmcbench process
 FLEET_TRACE_CALLS = 8      # one cycle of the fleet seeds
-SERVE_STORE_POINTS = 36    # published during set-up: store hits
-SERVE_MISS_POINTS = 36     # simulated in the session: misses
-SERVE_MEM_HITS = 1000      # repeats within the session: memory hits
 MIN_UNITS = 3
 MIN_SETUPS = 21            # set-up samples per run (extra launches)
 PROC_TIMEOUT_S = 120
@@ -313,8 +310,7 @@ def serve_store(exe, cli, seed, seconds, trace, checks):
     ref_lines = ref["lines"]
     checks.op(ref["exit"] == 0, "serve reference")
     work = os.path.join(build_dir(), "serve-runs", "%d" % os.getpid())
-    cmd = [exe, "serve", "--seed", str(seed), "--cli", cli,
-           "--mem-hits", str(SERVE_MEM_HITS)]
+    cmd = [exe, "serve", "--seed", str(seed), "--cli", cli]
     def round_(k):
         return launch(cmd + ["--dir", os.path.join(work, "round-%d" % k)] +
                       (["--trace"] if trace else []))
@@ -324,12 +320,6 @@ def serve_store(exe, cli, seed, seconds, trace, checks):
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    want_counts = {
-        "served": 1 + len(rounds[0]["session_points"]),
-        "failed": 0,
-        "cache_hits": 1 + SERVE_STORE_POINTS + SERVE_MEM_HITS,
-        "store_objects": 1 + SERVE_STORE_POINTS + SERVE_MISS_POINTS,
-    }
     selftest_ok = True
     for r in rounds:
         checks.op(r["exit"] == 0 and r["ok"] == 1, "serve session exit/0 failed")
@@ -340,15 +330,15 @@ def serve_store(exe, cli, seed, seconds, trace, checks):
         bad = set(check_replies(r["replies"], points, ref_lines))
         for i in range(len(points)):
             checks.op(i not in bad, "serve reply %d" % i)
-        checks.determinism(r["counts"] == want_counts,
-                           "serve counts %s != %s" % (r["counts"], want_counts))
+        checks.determinism(r["counts"] == r["want_counts"],
+                           "serve counts %s != %s" % (r["counts"], r["want_counts"]))
         selftest_ok = selftest_ok and tamper_selftest(r["replies"], points, ref_lines)
     checks.run_check(selftest_ok, "self-test: a tampered serve reply was not counted as failed")
     observed = {"ref_sha256": hashlib.sha256("".join(ref_lines).encode()).hexdigest(),
                 "counts": rounds[0]["counts"]}
 
     miss_points = set(int(p) for p in rounds[0]["session_points"]
-                      if int(p) > SERVE_STORE_POINTS)
+                      if int(p) > rounds[0]["store_points"])
     miss_requests = sum(int(ref["requests"][p]) for p in miss_points)
     if trace:
         r = rounds[0]
