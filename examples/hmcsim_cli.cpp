@@ -220,16 +220,7 @@ parseExperimentFlag(ExperimentFlags &f, int argc, char **argv, int &i)
 {
     const std::string arg = argv[i];
     if (arg == "--mix") {
-        const std::string mix = next(argc, argv, i);
-        if (mix == "ro")
-            f.cfg.mix = RequestMix::ReadOnly;
-        else if (mix == "wo")
-            f.cfg.mix = RequestMix::WriteOnly;
-        else if (mix == "rw")
-            f.cfg.mix = RequestMix::ReadModifyWrite;
-        else if (mix == "atomic")
-            f.cfg.mix = RequestMix::Atomic;
-        else
+        if (!parseRequestMix(next(argc, argv, i), f.cfg.mix))
             usage();
     } else if (arg == "--size") {
         f.cfg.requestSize =
@@ -526,24 +517,15 @@ runSweepCommand(int argc, char **argv, int first)
                     axes.ports.push_back(static_cast<unsigned>(
                         std::strtoul(value.c_str(), nullptr, 0)));
                 } else if (key == "mix") {
-                    if (value == "ro")
-                        axes.mixes.push_back(RequestMix::ReadOnly);
-                    else if (value == "wo")
-                        axes.mixes.push_back(RequestMix::WriteOnly);
-                    else if (value == "rw")
-                        axes.mixes.push_back(
-                            RequestMix::ReadModifyWrite);
-                    else if (value == "atomic")
-                        axes.mixes.push_back(RequestMix::Atomic);
-                    else
+                    RequestMix mix;
+                    if (!parseRequestMix(value, mix))
                         usage();
+                    axes.mixes.push_back(mix);
                 } else if (key == "mode") {
-                    if (value == "random")
-                        axes.modes.push_back(AddressingMode::Random);
-                    else if (value == "linear")
-                        axes.modes.push_back(AddressingMode::Linear);
-                    else
+                    AddressingMode mode;
+                    if (!parseAddressingMode(value, mode))
                         usage();
+                    axes.modes.push_back(mode);
                 } else if (key == "backend") {
                     BackendKind kind;
                     if (!parseBackendKind(value, kind))
@@ -963,15 +945,7 @@ serveSweepRequest(const std::vector<std::string> &tokens,
             return false;
         }
         if (key == "mix") {
-            if (value == "ro")
-                flags.cfg.mix = RequestMix::ReadOnly;
-            else if (value == "wo")
-                flags.cfg.mix = RequestMix::WriteOnly;
-            else if (value == "rw")
-                flags.cfg.mix = RequestMix::ReadModifyWrite;
-            else if (value == "atomic")
-                flags.cfg.mix = RequestMix::Atomic;
-            else
+            if (!parseRequestMix(value, flags.cfg.mix))
                 return false;
         } else if (key == "size") {
             flags.cfg.requestSize =
@@ -987,11 +961,7 @@ serveSweepRequest(const std::vector<std::string> &tokens,
             flags.cfg.numPorts = static_cast<unsigned>(
                 std::strtoul(value.c_str(), nullptr, 0));
         } else if (key == "mode") {
-            if (value == "random")
-                flags.cfg.mode = AddressingMode::Random;
-            else if (value == "linear")
-                flags.cfg.mode = AddressingMode::Linear;
-            else
+            if (!parseAddressingMode(value, flags.cfg.mode))
                 return false;
         } else if (key == "measure_us") {
             flags.cfg.measure =

@@ -1,9 +1,13 @@
 // lint:file(persistence) -- wire-encoded configs must round-trip bit-exactly: %a hexfloat only.
 #include "dist/wire.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <limits>
+#include <string_view>
+
+#include "host/experiment_fields.hh"
 
 namespace hmcsim
 {
@@ -11,37 +15,11 @@ namespace hmcsim
 namespace
 {
 
-constexpr const char *kHeader = "hmcsim-config v1";
+constexpr std::string_view kHeader = "hmcsim-config v1";
 
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%a", v);
-    return buf;
-}
-
-/** Percent-escape bytes that would break line or token framing. */
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '%' || c == '\n' || c == '\r') {
-            char buf[4];
-            std::snprintf(buf, sizeof(buf), "%%%02X",
-                          static_cast<unsigned char>(c));
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
+/** Inverse of the percent-escaping in EmitVisitor. */
 bool
-unescape(const std::string &s, std::string &out)
+unescape(std::string_view s, std::string &out)
 {
     out.clear();
     out.reserve(s.size());
@@ -52,340 +30,164 @@ unescape(const std::string &s, std::string &out)
         }
         if (i + 2 >= s.size())
             return false;
-        char hex[3] = {s[i + 1], s[i + 2], '\0'};
-        char *end = nullptr;
-        const long v = std::strtol(hex, &end, 16);
-        if (!end || *end != '\0')
+        const char *hex = s.data() + i + 1;
+        unsigned char byte = 0;
+        const auto [end, ec] = std::from_chars(hex, hex + 2, byte, 16);
+        if (ec != std::errc() || end != hex + 2)
             return false;
-        out += static_cast<char>(v);
+        out += static_cast<char>(byte);
         i += 2;
     }
     return true;
 }
 
-// ---- emit helpers ------------------------------------------------------
-
-void
-putU64(std::ostream &out, const char *key, std::uint64_t v)
-{
-    out << key << ' ' << v << '\n';
-}
-
-void
-putF64(std::ostream &out, const char *key, double v)
-{
-    out << key << ' ' << fmtDouble(v) << '\n';
-}
-
-void
-putStr(std::ostream &out, const char *key, const std::string &v)
-{
-    out << key << ' ' << escape(v) << '\n';
-}
-
-void
-putTimings(std::ostream &out, const std::string &prefix,
-           const DramTimings &t)
-{
-    putU64(out, (prefix + ".tRcd").c_str(), t.tRcd);
-    putU64(out, (prefix + ".tCl").c_str(), t.tCl);
-    putU64(out, (prefix + ".tRp").c_str(), t.tRp);
-    putU64(out, (prefix + ".tRas").c_str(), t.tRas);
-    putU64(out, (prefix + ".tWr").c_str(), t.tWr);
-    putU64(out, (prefix + ".tCcd").c_str(), t.tCcd);
-    putU64(out, (prefix + ".tBeat").c_str(), t.tBeat);
-    putU64(out, (prefix + ".beatBytes").c_str(), t.beatBytes);
-    putU64(out, (prefix + ".rowBytes").c_str(), t.rowBytes);
-    putU64(out, (prefix + ".tRefi").c_str(), t.tRefi);
-    putU64(out, (prefix + ".tRfc").c_str(), t.tRfc);
-}
-
-// ---- parse helpers -----------------------------------------------------
-
+/** Whole-token unsigned decimal: no sign, no spaces, no trailer. */
 bool
-takeLine(std::istream &in, const std::string &key, std::string &value)
+parseU64(std::string_view s, std::uint64_t &out)
 {
-    std::string line;
-    if (!std::getline(in, line))
-        return false;
-    if (line.rfind(key + " ", 0) != 0)
-        return false;
-    value = line.substr(key.size() + 1);
-    return true;
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+    return ec == std::errc() && ptr == end;
 }
 
-bool
-takeU64(std::istream &in, const std::string &key, std::uint64_t &out)
+/** One "key value" line per field, in field-table order. */
+struct EmitVisitor
 {
-    std::string value;
-    if (!takeLine(in, key, value))
-        return false;
-    std::istringstream fields(value);
-    return static_cast<bool>(fields >> out);
-}
+    std::string &out;
 
-bool
-takeU32(std::istream &in, const std::string &key, unsigned &out)
-{
-    std::uint64_t v = 0;
-    if (!takeU64(in, key, v))
-        return false;
-    out = static_cast<unsigned>(v);
-    return true;
-}
+    template <typename T>
+    void
+    operator()(const FieldKey &key, const T &v)
+    {
+        out += key.prefix;
+        out += key.name;
+        out += ' ';
+        if constexpr (std::is_same_v<T, std::string>) {
+            // Percent-escape bytes that would break line framing.
+            for (const char c : v) {
+                if (c == '%' || c == '\n' || c == '\r') {
+                    char buf[4];
+                    std::snprintf(buf, sizeof(buf), "%%%02X",
+                                  static_cast<unsigned char>(c));
+                    out += buf;
+                } else {
+                    out += c;
+                }
+            }
+        } else if constexpr (std::is_same_v<T, double>) {
+            char buf[64];
+            std::snprintf(buf, sizeof(buf), "%a", v);
+            out += buf;
+        } else {
+            out += std::to_string(static_cast<std::uint64_t>(v));
+        }
+        out += '\n';
+    }
 
-bool
-takeBool(std::istream &in, const std::string &key, bool &out)
-{
-    std::uint64_t v = 0;
-    if (!takeU64(in, key, v))
-        return false;
-    out = v != 0;
-    return true;
-}
+    template <typename E, std::size_t N>
+    void
+    operator()(const FieldKey &key, const E &v, const E (&)[N])
+    {
+        (*this)(key, static_cast<std::uint64_t>(v));
+    }
+};
 
-bool
-takeF64(std::istream &in, const std::string &key, double &out)
+/**
+ * Strict ordered parser: each field must be the next line, under its
+ * exact key, with a value that fits the field. The first failure
+ * sticks and the remaining fields are skipped.
+ */
+struct ParseVisitor
 {
-    std::string value;
-    if (!takeLine(in, key, value))
-        return false;
-    char *end = nullptr;
-    out = std::strtod(value.c_str(), &end);
-    return end && *end == '\0';
-}
+    std::string_view rest;
+    bool ok = true;
 
-bool
-takeStr(std::istream &in, const std::string &key, std::string &out)
-{
-    std::string value;
-    if (!takeLine(in, key, value))
-        return false;
-    return unescape(value, out);
-}
+    /** Take the next line, which must be "<key> <value>". */
+    bool
+    take(const FieldKey &key, std::string_view &value)
+    {
+        const std::size_t eol = rest.find('\n');
+        std::string_view line = rest.substr(0, eol);
+        rest.remove_prefix(eol == std::string_view::npos ? rest.size()
+                                                          : eol + 1);
+        const std::string_view prefix = key.prefix;
+        const std::string_view name = key.name;
+        if (!line.starts_with(prefix))
+            return false;
+        line.remove_prefix(prefix.size());
+        if (!line.starts_with(name) || line.size() == name.size() ||
+            line[name.size()] != ' ')
+            return false;
+        value = line.substr(name.size() + 1);
+        return true;
+    }
 
-template <typename Enum>
-bool
-takeEnum(std::istream &in, const std::string &key, Enum &out)
-{
-    std::uint64_t v = 0;
-    if (!takeU64(in, key, v))
-        return false;
-    out = static_cast<Enum>(v);
-    return true;
-}
+    template <typename T>
+    void
+    operator()(const FieldKey &key, T &v)
+    {
+        std::string_view value;
+        if (!ok || !(ok = take(key, value)))
+            return;
+        if constexpr (std::is_same_v<T, std::string>) {
+            ok = unescape(value, v);
+        } else if constexpr (std::is_same_v<T, double>) {
+            const std::string text(value);
+            char *end = nullptr;
+            v = std::strtod(text.c_str(), &end);
+            ok = !text.empty() && *end == '\0';
+        } else {
+            // Integers and bool (whose numeric_limits max is 1).
+            static_assert(std::is_unsigned_v<T>);
+            std::uint64_t n = 0;
+            ok = parseU64(value, n) &&
+                 n <= std::numeric_limits<T>::max();
+            if (ok)
+                v = static_cast<T>(n);
+        }
+    }
 
-bool
-takeTimings(std::istream &in, const std::string &prefix, DramTimings &t)
-{
-    return takeU64(in, prefix + ".tRcd", t.tRcd) &&
-           takeU64(in, prefix + ".tCl", t.tCl) &&
-           takeU64(in, prefix + ".tRp", t.tRp) &&
-           takeU64(in, prefix + ".tRas", t.tRas) &&
-           takeU64(in, prefix + ".tWr", t.tWr) &&
-           takeU64(in, prefix + ".tCcd", t.tCcd) &&
-           takeU64(in, prefix + ".tBeat", t.tBeat) &&
-           takeU64(in, prefix + ".beatBytes", t.beatBytes) &&
-           takeU64(in, prefix + ".rowBytes", t.rowBytes) &&
-           takeU64(in, prefix + ".tRefi", t.tRefi) &&
-           takeU64(in, prefix + ".tRfc", t.tRfc);
-}
+    template <typename E, std::size_t N>
+    void
+    operator()(const FieldKey &key, E &v, const E (&valid)[N])
+    {
+        std::uint64_t n = 0;
+        (*this)(key, n);
+        if (!ok)
+            return;
+        for (const E candidate : valid) {
+            if (static_cast<std::uint64_t>(candidate) == n) {
+                v = candidate;
+                return;
+            }
+        }
+        ok = false;
+    }
+};
 
 } // namespace
 
 std::string
 encodeExperimentConfig(const ExperimentConfig &cfg)
 {
-    std::ostringstream out;
-    out << kHeader << '\n';
-
-    putStr(out, "pattern.name", cfg.pattern.name);
-    putU64(out, "pattern.mask", cfg.pattern.mask);
-    putU64(out, "pattern.antiMask", cfg.pattern.antiMask);
-    putU64(out, "pattern.vaultSpan", cfg.pattern.vaultSpan);
-    putU64(out, "pattern.bankSpan", cfg.pattern.bankSpan);
-
-    putU64(out, "mix", static_cast<std::uint64_t>(cfg.mix));
-    putU64(out, "requestSize", cfg.requestSize);
-    putU64(out, "mode", static_cast<std::uint64_t>(cfg.mode));
-    putU64(out, "numPorts", cfg.numPorts);
-    putU64(out, "warmup", cfg.warmup);
-    putU64(out, "measure", cfg.measure);
-    putU64(out, "seed", cfg.seed);
-
-    const HmcConfig &s = cfg.device.structure;
-    putStr(out, "structure.name", s.name);
-    putU64(out, "structure.capacity", s.capacity);
-    putU64(out, "structure.numDramLayers", s.numDramLayers);
-    putU64(out, "structure.dramLayerGbits", s.dramLayerGbits);
-    putU64(out, "structure.numQuadrants", s.numQuadrants);
-    putU64(out, "structure.numVaults", s.numVaults);
-    putU64(out, "structure.partitionsPerLayer", s.partitionsPerLayer);
-    putU64(out, "structure.banksPerPartition", s.banksPerPartition);
-
-    const VaultConfig &v = cfg.device.vault;
-    putU64(out, "vault.numBanks", v.numBanks);
-    putTimings(out, "vault.timings", v.timings);
-    putU64(out, "vault.policy", static_cast<std::uint64_t>(v.policy));
-    putU64(out, "vault.controllerLatency", v.controllerLatency);
-    putU64(out, "vault.commandBeats", v.commandBeats);
-    putU64(out, "vault.atomicLatency", v.atomicLatency);
-    putU64(out, "vault.refreshEnabled", v.refreshEnabled ? 1 : 0);
-    putF64(out, "vault.refreshMultiplier", v.refreshMultiplier);
-
-    const MemoryBackendConfig &b = v.backend;
-    putU64(out, "backend.kind", static_cast<std::uint64_t>(b.kind));
-    putTimings(out, "backend.ddrTimings", b.ddrTimings);
-    putU64(out, "backend.ddrPolicy",
-           static_cast<std::uint64_t>(b.ddrPolicy));
-    putF64(out, "backend.ddrBusBytesPerSecond", b.ddrBusBytesPerSecond);
-    putU64(out, "backend.ddrTFaw", b.ddrTFaw);
-    putU64(out, "backend.ddrActivatesPerFaw", b.ddrActivatesPerFaw);
-    putU64(out, "backend.nvmReadLatency", b.nvmReadLatency);
-    putU64(out, "backend.nvmWriteLatency", b.nvmWriteLatency);
-    putU64(out, "backend.nvmWriteAck", b.nvmWriteAck);
-    putU64(out, "backend.nvmWriteQueueDepth", b.nvmWriteQueueDepth);
-
-    putU64(out, "device.maxBlock",
-           static_cast<std::uint64_t>(cfg.device.maxBlock));
-    putU64(out, "device.mapping",
-           static_cast<std::uint64_t>(cfg.device.mapping));
-    putU64(out, "device.quadrantLocalLatency",
-           cfg.device.quadrantLocalLatency);
-    putU64(out, "device.quadrantHopLatency",
-           cfg.device.quadrantHopLatency);
-    putU64(out, "device.responsePathLatency",
-           cfg.device.responsePathLatency);
-
-    const ControllerCalibration &c = cfg.controller;
-    putU64(out, "controller.fpgaCyclePs", c.fpgaCyclePs);
-    putU64(out, "controller.flitsToParallelCycles",
-           c.flitsToParallelCycles);
-    putU64(out, "controller.arbiterCycles", c.arbiterCycles);
-    putU64(out, "controller.seqFlowCrcCycles", c.seqFlowCrcCycles);
-    putU64(out, "controller.serdesConvertCycles",
-           c.serdesConvertCycles);
-    putU64(out, "controller.txPropagation", c.txPropagation);
-    putU64(out, "controller.rxPropagation", c.rxPropagation);
-    putU64(out, "controller.rxFixedCycles", c.rxFixedCycles);
-    putU64(out, "controller.rxPerFlit", c.rxPerFlit);
-    putF64(out, "controller.txBytesPerSecondPerLink",
-           c.txBytesPerSecondPerLink);
-    putF64(out, "controller.rxBytesPerSecondPerLink",
-           c.rxBytesPerSecondPerLink);
-    putU64(out, "controller.txPerPacketOverheadBytes",
-           c.txPerPacketOverheadBytes);
-    putU64(out, "controller.rxPerPacketOverheadBytes",
-           c.rxPerPacketOverheadBytes);
-    putU64(out, "controller.numLinks", c.numLinks);
-    putF64(out, "controller.bitErrorRate", c.bitErrorRate);
-    putU64(out, "controller.inputBufferFlits", c.inputBufferFlits);
-
-    return out.str();
+    std::string out(kHeader);
+    out += '\n';
+    forEachField(cfg, EmitVisitor{out});
+    return out;
 }
 
 bool
 decodeExperimentConfig(const std::string &text, ExperimentConfig &out)
 {
-    std::istringstream in(text);
-    std::string header;
-    if (!std::getline(in, header) || header != kHeader)
+    std::string_view in = text;
+    if (!in.starts_with(kHeader) || in.size() == kHeader.size() ||
+        in[kHeader.size()] != '\n')
         return false;
-
     ExperimentConfig cfg;
-    if (!takeStr(in, "pattern.name", cfg.pattern.name) ||
-        !takeU64(in, "pattern.mask", cfg.pattern.mask) ||
-        !takeU64(in, "pattern.antiMask", cfg.pattern.antiMask) ||
-        !takeU32(in, "pattern.vaultSpan", cfg.pattern.vaultSpan) ||
-        !takeU32(in, "pattern.bankSpan", cfg.pattern.bankSpan))
+    ParseVisitor parse{in.substr(kHeader.size() + 1)};
+    forEachField(cfg, parse);
+    if (!parse.ok)
         return false;
-
-    if (!takeEnum(in, "mix", cfg.mix) ||
-        !takeU64(in, "requestSize", cfg.requestSize) ||
-        !takeEnum(in, "mode", cfg.mode) ||
-        !takeU32(in, "numPorts", cfg.numPorts) ||
-        !takeU64(in, "warmup", cfg.warmup) ||
-        !takeU64(in, "measure", cfg.measure) ||
-        !takeU64(in, "seed", cfg.seed))
-        return false;
-
-    HmcConfig &s = cfg.device.structure;
-    if (!takeStr(in, "structure.name", s.name) ||
-        !takeU64(in, "structure.capacity", s.capacity) ||
-        !takeU32(in, "structure.numDramLayers", s.numDramLayers) ||
-        !takeU32(in, "structure.dramLayerGbits", s.dramLayerGbits) ||
-        !takeU32(in, "structure.numQuadrants", s.numQuadrants) ||
-        !takeU32(in, "structure.numVaults", s.numVaults) ||
-        !takeU32(in, "structure.partitionsPerLayer",
-                 s.partitionsPerLayer) ||
-        !takeU32(in, "structure.banksPerPartition",
-                 s.banksPerPartition))
-        return false;
-
-    VaultConfig &v = cfg.device.vault;
-    if (!takeU32(in, "vault.numBanks", v.numBanks) ||
-        !takeTimings(in, "vault.timings", v.timings) ||
-        !takeEnum(in, "vault.policy", v.policy) ||
-        !takeU64(in, "vault.controllerLatency", v.controllerLatency) ||
-        !takeU32(in, "vault.commandBeats", v.commandBeats) ||
-        !takeU64(in, "vault.atomicLatency", v.atomicLatency) ||
-        !takeBool(in, "vault.refreshEnabled", v.refreshEnabled) ||
-        !takeF64(in, "vault.refreshMultiplier", v.refreshMultiplier))
-        return false;
-
-    MemoryBackendConfig &b = v.backend;
-    if (!takeEnum(in, "backend.kind", b.kind) ||
-        !takeTimings(in, "backend.ddrTimings", b.ddrTimings) ||
-        !takeEnum(in, "backend.ddrPolicy", b.ddrPolicy) ||
-        !takeF64(in, "backend.ddrBusBytesPerSecond",
-                 b.ddrBusBytesPerSecond) ||
-        !takeU64(in, "backend.ddrTFaw", b.ddrTFaw) ||
-        !takeU32(in, "backend.ddrActivatesPerFaw",
-                 b.ddrActivatesPerFaw) ||
-        !takeU64(in, "backend.nvmReadLatency", b.nvmReadLatency) ||
-        !takeU64(in, "backend.nvmWriteLatency", b.nvmWriteLatency) ||
-        !takeU64(in, "backend.nvmWriteAck", b.nvmWriteAck) ||
-        !takeU32(in, "backend.nvmWriteQueueDepth",
-                 b.nvmWriteQueueDepth))
-        return false;
-
-    if (!takeEnum(in, "device.maxBlock", cfg.device.maxBlock) ||
-        !takeEnum(in, "device.mapping", cfg.device.mapping) ||
-        !takeU64(in, "device.quadrantLocalLatency",
-                 cfg.device.quadrantLocalLatency) ||
-        !takeU64(in, "device.quadrantHopLatency",
-                 cfg.device.quadrantHopLatency) ||
-        !takeU64(in, "device.responsePathLatency",
-                 cfg.device.responsePathLatency))
-        return false;
-
-    ControllerCalibration &c = cfg.controller;
-    if (!takeU64(in, "controller.fpgaCyclePs", c.fpgaCyclePs) ||
-        !takeU32(in, "controller.flitsToParallelCycles",
-                 c.flitsToParallelCycles) ||
-        !takeU32(in, "controller.arbiterCycles", c.arbiterCycles) ||
-        !takeU32(in, "controller.seqFlowCrcCycles",
-                 c.seqFlowCrcCycles) ||
-        !takeU32(in, "controller.serdesConvertCycles",
-                 c.serdesConvertCycles) ||
-        !takeU64(in, "controller.txPropagation", c.txPropagation) ||
-        !takeU64(in, "controller.rxPropagation", c.rxPropagation) ||
-        !takeU32(in, "controller.rxFixedCycles", c.rxFixedCycles) ||
-        !takeU64(in, "controller.rxPerFlit", c.rxPerFlit) ||
-        !takeF64(in, "controller.txBytesPerSecondPerLink",
-                 c.txBytesPerSecondPerLink) ||
-        !takeF64(in, "controller.rxBytesPerSecondPerLink",
-                 c.rxBytesPerSecondPerLink) ||
-        !takeU64(in, "controller.txPerPacketOverheadBytes",
-                 c.txPerPacketOverheadBytes) ||
-        !takeU64(in, "controller.rxPerPacketOverheadBytes",
-                 c.rxPerPacketOverheadBytes) ||
-        !takeU32(in, "controller.numLinks", c.numLinks) ||
-        !takeF64(in, "controller.bitErrorRate", c.bitErrorRate) ||
-        !takeU32(in, "controller.inputBufferFlits",
-                 c.inputBufferFlits))
-        return false;
-
     out = std::move(cfg);
     return true;
 }

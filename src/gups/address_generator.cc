@@ -11,6 +11,19 @@ addressingModeName(AddressingMode mode)
     return mode == AddressingMode::Random ? "random" : "linear";
 }
 
+bool
+parseAddressingMode(const std::string &name, AddressingMode &out)
+{
+    for (const AddressingMode mode :
+         {AddressingMode::Random, AddressingMode::Linear}) {
+        if (name == addressingModeName(mode)) {
+            out = mode;
+            return true;
+        }
+    }
+    return false;
+}
+
 AddressGenerator::AddressGenerator(const AddressGeneratorConfig &cfg,
                                    std::uint64_t seed)
     : cfg(cfg), rng(seed),

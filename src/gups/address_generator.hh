@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "sim/random.hh"
 #include "sim/types.hh"
@@ -28,6 +29,9 @@ enum class AddressingMode : std::uint8_t
 };
 
 const char *addressingModeName(AddressingMode mode);
+
+/** Parse an addressingModeName() string; false when unrecognized. */
+bool parseAddressingMode(const std::string &name, AddressingMode &out);
 
 /** Generator configuration. */
 struct AddressGeneratorConfig

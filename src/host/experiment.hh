@@ -29,8 +29,8 @@ namespace hmcsim
 /**
  * Fields shared by every experiment flavor (bandwidth/latency and
  * stream-GUPS). Factoring them out keeps the two configs in sync and
- * lets the runner's configDigest() cover both with one serializer
- * (runner/config_digest.hh).
+ * lets one field table (host/experiment_fields.hh) list both for the
+ * config digests and the dist wire codec.
  */
 struct CommonExperimentConfig
 {

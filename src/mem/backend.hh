@@ -54,8 +54,9 @@ bool parseBackendKind(const std::string &name, BackendKind &out);
 /**
  * Backend selection plus per-kind model parameters. Lives inside
  * VaultConfig so it reaches every experiment through
- * ExperimentConfig::device; all fields are part of the canonical
- * config digest (runner/config_digest.cc, "hmcsim.experiment.v2").
+ * ExperimentConfig::device; all fields are listed in the field table
+ * (host/experiment_fields.hh), so they are part of the canonical
+ * config digest ("hmcsim.experiment.v2") and the dist wire codec.
  */
 struct MemoryBackendConfig
 {

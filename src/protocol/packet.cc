@@ -33,4 +33,18 @@ requestMixName(RequestMix mix)
     return "?";
 }
 
+bool
+parseRequestMix(const std::string &name, RequestMix &out)
+{
+    for (const RequestMix mix :
+         {RequestMix::ReadOnly, RequestMix::WriteOnly,
+          RequestMix::ReadModifyWrite, RequestMix::Atomic}) {
+        if (name == requestMixName(mix)) {
+            out = mix;
+            return true;
+        }
+    }
+    return false;
+}
+
 } // namespace hmcsim

@@ -55,6 +55,9 @@ enum class RequestMix : std::uint8_t
 
 const char *requestMixName(RequestMix mix);
 
+/** Parse a requestMixName() string; false when unrecognized. */
+bool parseRequestMix(const std::string &name, RequestMix &out);
+
 /** Number of data flits needed for @p payload bytes (rounded up). */
 constexpr unsigned
 dataFlits(Bytes payload)

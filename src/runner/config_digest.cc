@@ -2,6 +2,9 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
+
+#include "host/experiment_fields.hh"
 
 namespace hmcsim
 {
@@ -40,7 +43,7 @@ class Fnv1a
 
     /** Length-prefixed so "ab","c" never collides with "a","bc". */
     void
-    str(const std::string &s)
+    str(std::string_view s)
     {
         u64(s.size());
         bytes(s.data(), s.size());
@@ -52,98 +55,54 @@ class Fnv1a
     std::uint64_t hash = 0xCBF29CE484222325ULL;
 };
 
-void
-mixTimings(Fnv1a &h, const DramTimings &t)
+/**
+ * Field-table visitor: every field in walk order, strings length-
+ * prefixed, doubles as their bit pattern, everything else widened to
+ * 64 bits. Touches no key and allocates nothing.
+ */
+struct DigestVisitor
 {
-    h.u64(t.tRcd);
-    h.u64(t.tCl);
-    h.u64(t.tRp);
-    h.u64(t.tRas);
-    h.u64(t.tWr);
-    h.u64(t.tCcd);
-    h.u64(t.tBeat);
-    h.u64(t.beatBytes);
-    h.u64(t.rowBytes);
-    h.u64(t.tRefi);
-    h.u64(t.tRfc);
-}
+    Fnv1a &h;
+    bool withSeed;
+    bool withMeasure;
 
-void
-mixBackend(Fnv1a &h, const MemoryBackendConfig &b)
+    template <typename T>
+    void
+    operator()(const FieldKey &key, const T &v)
+    {
+        if ((key.role == FieldRole::Seed && !withSeed) ||
+            (key.role == FieldRole::Measure && !withMeasure))
+            return;
+        if constexpr (std::is_same_v<T, std::string>)
+            h.str(v);
+        else if constexpr (std::is_same_v<T, double>)
+            h.f64(v);
+        else
+            h.u64(static_cast<std::uint64_t>(v));
+    }
+
+    template <typename E, std::size_t N>
+    void
+    operator()(const FieldKey &key, const E &v, const E (&)[N])
+    {
+        (*this)(key, static_cast<std::uint64_t>(v));
+    }
+};
+
+/**
+ * @p tag names the serialization version: bump it whenever the field
+ * table changes, so stale on-disk cache entries can never match new
+ * digests.
+ */
+template <typename Cfg>
+std::uint64_t
+digest(std::string_view tag, const Cfg &cfg, bool with_seed,
+       bool with_measure)
 {
-    h.u64(static_cast<std::uint64_t>(b.kind));
-    mixTimings(h, b.ddrTimings);
-    h.u64(static_cast<std::uint64_t>(b.ddrPolicy));
-    h.f64(b.ddrBusBytesPerSecond);
-    h.u64(b.ddrTFaw);
-    h.u64(b.ddrActivatesPerFaw);
-    h.u64(b.nvmReadLatency);
-    h.u64(b.nvmWriteLatency);
-    h.u64(b.nvmWriteAck);
-    h.u64(b.nvmWriteQueueDepth);
-}
-
-void
-mixDevice(Fnv1a &h, const HmcDeviceConfig &d)
-{
-    h.str(d.structure.name);
-    h.u64(d.structure.capacity);
-    h.u64(d.structure.numDramLayers);
-    h.u64(d.structure.dramLayerGbits);
-    h.u64(d.structure.numQuadrants);
-    h.u64(d.structure.numVaults);
-    h.u64(d.structure.partitionsPerLayer);
-    h.u64(d.structure.banksPerPartition);
-
-    h.u64(d.vault.numBanks);
-    mixTimings(h, d.vault.timings);
-    h.u64(static_cast<std::uint64_t>(d.vault.policy));
-    h.u64(d.vault.controllerLatency);
-    h.u64(d.vault.commandBeats);
-    h.u64(d.vault.atomicLatency);
-    h.u64(d.vault.refreshEnabled ? 1 : 0);
-    h.f64(d.vault.refreshMultiplier);
-    mixBackend(h, d.vault.backend);
-
-    h.u64(static_cast<std::uint64_t>(d.maxBlock));
-    h.u64(static_cast<std::uint64_t>(d.mapping));
-    h.u64(d.quadrantLocalLatency);
-    h.u64(d.quadrantHopLatency);
-    h.u64(d.responsePathLatency);
-}
-
-void
-mixController(Fnv1a &h, const ControllerCalibration &c)
-{
-    h.u64(c.fpgaCyclePs);
-    h.u64(c.flitsToParallelCycles);
-    h.u64(c.arbiterCycles);
-    h.u64(c.seqFlowCrcCycles);
-    h.u64(c.serdesConvertCycles);
-    h.u64(c.txPropagation);
-    h.u64(c.rxPropagation);
-    h.u64(c.rxFixedCycles);
-    h.u64(c.rxPerFlit);
-    h.f64(c.txBytesPerSecondPerLink);
-    h.f64(c.rxBytesPerSecondPerLink);
-    h.u64(c.txPerPacketOverheadBytes);
-    h.u64(c.rxPerPacketOverheadBytes);
-    h.u64(c.numLinks);
-    h.f64(c.bitErrorRate);
-    h.u64(c.inputBufferFlits);
-}
-
-void
-mixPattern(Fnv1a &h, const AccessPattern &p)
-{
-    // The pattern name is cosmetic for simulation but flows into
-    // MeasurementResult::patternName, so it is part of the identity a
-    // cached result must reproduce.
-    h.str(p.name);
-    h.u64(p.mask);
-    h.u64(p.antiMask);
-    h.u64(p.vaultSpan);
-    h.u64(p.bankSpan);
+    Fnv1a h;
+    h.str(tag);
+    forEachField(cfg, DigestVisitor{h, with_seed, with_measure});
+    return h.value();
 }
 
 } // namespace
@@ -151,71 +110,27 @@ mixPattern(Fnv1a &h, const AccessPattern &p)
 std::uint64_t
 configDigest(const ExperimentConfig &cfg, bool include_seed)
 {
-    Fnv1a h;
-    // Version tag: bump when the serialization below changes, so
-    // stale on-disk cache entries can never match new digests.
     // v2: vault backend selection + per-backend parameters.
-    h.str("hmcsim.experiment.v2");
-
-    mixPattern(h, cfg.pattern);
-
-    h.u64(static_cast<std::uint64_t>(cfg.mix));
-    h.u64(cfg.requestSize);
-    h.u64(static_cast<std::uint64_t>(cfg.mode));
-    h.u64(cfg.numPorts);
-    h.u64(cfg.warmup);
-    h.u64(cfg.measure);
-    if (include_seed)
-        h.u64(cfg.seed);
-
-    mixDevice(h, cfg.device);
-    mixController(h, cfg.controller);
-    return h.value();
+    return digest("hmcsim.experiment.v2", cfg, include_seed, true);
 }
 
 std::uint64_t
 warmupDigest(const ExperimentConfig &cfg)
 {
-    Fnv1a h;
     // Distinct tag: warm-up identities live in their own namespace.
-    // v1: configDigest v2 minus the measure window, seed included.
-    h.str("hmcsim.warmup.v1");
-
-    mixPattern(h, cfg.pattern);
-
-    h.u64(static_cast<std::uint64_t>(cfg.mix));
-    h.u64(cfg.requestSize);
-    h.u64(static_cast<std::uint64_t>(cfg.mode));
-    h.u64(cfg.numPorts);
-    h.u64(cfg.warmup);
-    // cfg.measure deliberately omitted: the measurement window starts
-    // after the fork point, so it cannot influence the warm state.
-    h.u64(cfg.seed);
-
-    mixDevice(h, cfg.device);
-    mixController(h, cfg.controller);
-    return h.value();
+    // v1: configDigest v2 minus the measure window, seed included --
+    // the measurement window starts after the fork point, so it
+    // cannot influence the warm state.
+    return digest("hmcsim.warmup.v1", cfg, true, false);
 }
 
 std::uint64_t
 configDigest(const StreamExperimentConfig &cfg, bool include_seed)
 {
-    Fnv1a h;
-    // Distinct version tag: a stream config can never collide with a
+    // Distinct tag: a stream config can never collide with a
     // bandwidth/latency config, even with identical shared fields.
     // v2: vault backend selection + per-backend parameters.
-    h.str("hmcsim.stream.v2");
-
-    mixPattern(h, cfg.pattern);
-    h.u64(cfg.requestSize);
-    h.u64(cfg.requestsPerStream);
-    h.u64(cfg.repetitions);
-    if (include_seed)
-        h.u64(cfg.seed);
-
-    mixDevice(h, cfg.device);
-    mixController(h, cfg.controller);
-    return h.value();
+    return digest("hmcsim.stream.v2", cfg, include_seed, true);
 }
 
 } // namespace hmcsim

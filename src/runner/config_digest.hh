@@ -4,12 +4,14 @@
  *
  * The digest is an FNV-1a hash over a *canonical serialization* of
  * every field of ExperimentConfig (the same bit-exact hashing idiom
- * as StatRegistry::digest()): each field is appended in a fixed,
- * documented order with explicit widths, so the value depends only on
- * the configured experiment -- never on struct layout, padding bytes,
- * or the order a caller happened to assign fields in. Two configs
- * that would simulate identically hash identically; flipping any
- * single field (timing constant, mask bit, seed) changes the digest.
+ * as StatRegistry::digest()): the fields of the field table
+ * (host/experiment_fields.hh) are appended in walk order with
+ * explicit widths, so the value depends only on the configured
+ * experiment -- never on struct layout, padding bytes, or the order a
+ * caller happened to assign fields in. Two configs that would
+ * simulate identically hash identically; flipping any single field
+ * (timing constant, mask bit, seed) changes the digest. The dist wire
+ * codec walks the same table, so it ships exactly the hashed fields.
  *
  * Uses: result-cache keys (runner/result_cache.hh), per-job seed
  * derivation (runner/sweep.hh), and the digest column of the

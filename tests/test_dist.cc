@@ -89,6 +89,279 @@ TEST(WireCodec, RoundTripPreservesDigestAndSeed)
     EXPECT_EQ(back.pattern.name, cfg.pattern.name);
 }
 
+/** @p blob with the value on the line keyed @p key replaced. */
+std::string
+withLine(std::string blob, const std::string &key,
+         const std::string &value)
+{
+    const std::size_t at = blob.find("\n" + key + " ");
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t from = at + key.size() + 2;
+    blob.replace(from, blob.find('\n', from) - from, value);
+    return blob;
+}
+
+TEST(WireCodec, RejectsEnumValuesOutsideTheValidSet)
+{
+    // An out-of-set backend.kind that decoded would reach
+    // runExperiment's fatal("unknown memory backend kind") in a worker.
+    const std::string blob = encodeExperimentConfig(ExperimentConfig{});
+    ExperimentConfig out;
+    EXPECT_FALSE(decodeExperimentConfig(
+        withLine(blob, "backend.kind", "9"), out));
+    EXPECT_FALSE(decodeExperimentConfig(withLine(blob, "mix", "4"), out));
+    EXPECT_FALSE(decodeExperimentConfig(withLine(blob, "mode", "2"), out));
+    EXPECT_FALSE(decodeExperimentConfig(
+        withLine(blob, "vault.policy", "2"), out));
+    EXPECT_FALSE(decodeExperimentConfig(
+        withLine(blob, "device.maxBlock", "100"), out));
+    EXPECT_FALSE(decodeExperimentConfig(
+        withLine(blob, "device.mapping", "3"), out));
+    // A valid non-default value still decodes.
+    ASSERT_TRUE(decodeExperimentConfig(
+        withLine(blob, "device.maxBlock", "16"), out));
+    EXPECT_EQ(out.device.maxBlock, MaxBlockSize::B16);
+}
+
+TEST(WireCodec, RejectsNumbersTooWideForTheField)
+{
+    const std::string blob = encodeExperimentConfig(ExperimentConfig{});
+    ExperimentConfig out;
+    // 2^32 + 9 must not truncate to 9 ports.
+    EXPECT_FALSE(decodeExperimentConfig(
+        withLine(blob, "numPorts", "4294967305"), out));
+    EXPECT_FALSE(decodeExperimentConfig(
+        withLine(blob, "vault.refreshEnabled", "2"), out));
+    EXPECT_FALSE(decodeExperimentConfig(
+        withLine(blob, "requestSize", "18446744073709551616"), out));
+    EXPECT_FALSE(decodeExperimentConfig(
+        withLine(blob, "warmup", "-1"), out));
+    // The widest value of each kind still fits.
+    ASSERT_TRUE(decodeExperimentConfig(
+        withLine(blob, "numPorts", "4294967295"), out));
+    EXPECT_EQ(out.numPorts, 4294967295u);
+    ASSERT_TRUE(decodeExperimentConfig(
+        withLine(blob, "seed", "18446744073709551615"), out));
+    EXPECT_EQ(out.seed, ~0ull);
+}
+
+TEST(WireCodec, RejectsTrailingCharactersOnNumericLines)
+{
+    const std::string blob = encodeExperimentConfig(ExperimentConfig{});
+    ExperimentConfig out;
+    EXPECT_FALSE(decodeExperimentConfig(
+        withLine(blob, "requestSize", "128x"), out));
+    EXPECT_FALSE(decodeExperimentConfig(
+        withLine(blob, "numPorts", "9 9"), out));
+    EXPECT_FALSE(decodeExperimentConfig(
+        withLine(blob, "backend.kind", "0 "), out));
+    EXPECT_FALSE(decodeExperimentConfig(
+        withLine(blob, "controller.bitErrorRate", "0x0p+0 "), out));
+    EXPECT_FALSE(decodeExperimentConfig(
+        withLine(blob, "controller.bitErrorRate", ""), out));
+}
+
+/**
+ * Literal digests and wire text: seeds, cache/store keys and JSONL
+ * digest columns all derive from these bytes, so they may only move
+ * together with a digest version-tag bump.
+ */
+void
+expectPinnedBytes(const ExperimentConfig &cfg, std::uint64_t digest,
+                  std::uint64_t digest_no_seed, std::uint64_t warmup,
+                  std::uint64_t stream, std::uint64_t stream_no_seed,
+                  const std::string &wire)
+{
+    EXPECT_EQ(configDigest(cfg), digest);
+    EXPECT_EQ(configDigest(cfg, false), digest_no_seed);
+    EXPECT_EQ(warmupDigest(cfg), warmup);
+    StreamExperimentConfig s;
+    static_cast<CommonExperimentConfig &>(s) = cfg;
+    s.requestsPerStream = 5;
+    s.repetitions = 3;
+    EXPECT_EQ(configDigest(s), stream);
+    EXPECT_EQ(configDigest(s, false), stream_no_seed);
+    EXPECT_EQ(encodeExperimentConfig(cfg), wire);
+}
+
+TEST(PinnedBytes, DefaultConfig)
+{
+    EXPECT_EQ(configDigest(StreamExperimentConfig{}),
+              0x46a9acd7ad34fde4ull);
+    expectPinnedBytes(ExperimentConfig{}, 0x7d05d160192b526cull,
+                      0xe063424d3027b5bdull, 0xef089a659f0a6d75ull,
+                      0xfc0049aede526338ull, 0xef1ca2d1ab245919ull,
+                      R"(hmcsim-config v1
+pattern.name 16 vaults
+pattern.mask 0
+pattern.antiMask 0
+pattern.vaultSpan 16
+pattern.bankSpan 256
+mix 0
+requestSize 128
+mode 0
+numPorts 9
+warmup 100000000
+measure 1000000000
+seed 1
+structure.name HMC 1.1 (Gen2) 4GB
+structure.capacity 4294967296
+structure.numDramLayers 8
+structure.dramLayerGbits 4
+structure.numQuadrants 4
+structure.numVaults 16
+structure.partitionsPerLayer 16
+structure.banksPerPartition 2
+vault.numBanks 16
+vault.timings.tRcd 13000
+vault.timings.tCl 13000
+vault.timings.tRp 13000
+vault.timings.tRas 27000
+vault.timings.tWr 14000
+vault.timings.tCcd 5000
+vault.timings.tBeat 3200
+vault.timings.beatBytes 32
+vault.timings.rowBytes 256
+vault.timings.tRefi 7800000
+vault.timings.tRfc 160000
+vault.policy 0
+vault.controllerLatency 16000
+vault.commandBeats 1
+vault.atomicLatency 4000
+vault.refreshEnabled 0
+vault.refreshMultiplier 0x1p+0
+backend.kind 0
+backend.ddrTimings.tRcd 13750
+backend.ddrTimings.tCl 13750
+backend.ddrTimings.tRp 13750
+backend.ddrTimings.tRas 32000
+backend.ddrTimings.tWr 15000
+backend.ddrTimings.tCcd 5000
+backend.ddrTimings.tBeat 1670
+backend.ddrTimings.beatBytes 32
+backend.ddrTimings.rowBytes 1024
+backend.ddrTimings.tRefi 7800000
+backend.ddrTimings.tRfc 160000
+backend.ddrPolicy 1
+backend.ddrBusBytesPerSecond 0x1.1e1a3p+34
+backend.ddrTFaw 30000
+backend.ddrActivatesPerFaw 4
+backend.nvmReadLatency 120000
+backend.nvmWriteLatency 400000
+backend.nvmWriteAck 8000
+backend.nvmWriteQueueDepth 8
+device.maxBlock 128
+device.mapping 0
+device.quadrantLocalLatency 12000
+device.quadrantHopLatency 8000
+device.responsePathLatency 45000
+controller.fpgaCyclePs 5333
+controller.flitsToParallelCycles 10
+controller.arbiterCycles 4
+controller.seqFlowCrcCycles 10
+controller.serdesConvertCycles 10
+controller.txPropagation 85000
+controller.rxPropagation 40000
+controller.rxFixedCycles 30
+controller.rxPerFlit 5000
+controller.txBytesPerSecondPerLink 0x1.bf08ebp+32
+controller.rxBytesPerSecondPerLink 0x1.38eca48p+33
+controller.txPerPacketOverheadBytes 8
+controller.rxPerPacketOverheadBytes 24
+controller.numLinks 2
+controller.bitErrorRate 0x0p+0
+controller.inputBufferFlits 0
+)");
+}
+
+TEST(PinnedBytes, WireTestConfig)
+{
+    expectPinnedBytes(wireTestConfig(), 0x23142b16601fef28ull,
+                      0xa8eae4a61ffa3428ull, 0x40a19f622b0f166aull,
+                      0xac1f0db7bf794315ull, 0x25320d6b1c2491d5ull,
+                      R"(hmcsim-config v1
+pattern.name wire 100%25 tricky%0Aname
+pattern.mask 128
+pattern.antiMask 0
+pattern.vaultSpan 16
+pattern.bankSpan 256
+mix 3
+requestSize 48
+mode 1
+numPorts 3
+warmup 7000000
+measure 33000000
+seed 81985529216486895
+structure.name HMC 1.1 (Gen2) 4GB
+structure.capacity 4294967296
+structure.numDramLayers 8
+structure.dramLayerGbits 4
+structure.numQuadrants 4
+structure.numVaults 16
+structure.partitionsPerLayer 16
+structure.banksPerPartition 2
+vault.numBanks 16
+vault.timings.tRcd 13001
+vault.timings.tCl 13000
+vault.timings.tRp 13000
+vault.timings.tRas 27000
+vault.timings.tWr 14000
+vault.timings.tCcd 5000
+vault.timings.tBeat 3200
+vault.timings.beatBytes 32
+vault.timings.rowBytes 256
+vault.timings.tRefi 7800000
+vault.timings.tRfc 160000
+vault.policy 0
+vault.controllerLatency 16000
+vault.commandBeats 1
+vault.atomicLatency 4000
+vault.refreshEnabled 0
+vault.refreshMultiplier 0x1p+0
+backend.kind 2
+backend.ddrTimings.tRcd 13750
+backend.ddrTimings.tCl 13750
+backend.ddrTimings.tRp 13750
+backend.ddrTimings.tRas 32000
+backend.ddrTimings.tWr 15000
+backend.ddrTimings.tCcd 5000
+backend.ddrTimings.tBeat 1670
+backend.ddrTimings.beatBytes 32
+backend.ddrTimings.rowBytes 1024
+backend.ddrTimings.tRefi 7800000
+backend.ddrTimings.tRfc 160000
+backend.ddrPolicy 1
+backend.ddrBusBytesPerSecond 0x1.1e1a3p+34
+backend.ddrTFaw 30000
+backend.ddrActivatesPerFaw 4
+backend.nvmReadLatency 120000
+backend.nvmWriteLatency 400003
+backend.nvmWriteAck 8000
+backend.nvmWriteQueueDepth 8
+device.maxBlock 128
+device.mapping 1
+device.quadrantLocalLatency 12000
+device.quadrantHopLatency 8000
+device.responsePathLatency 45000
+controller.fpgaCyclePs 5333
+controller.flitsToParallelCycles 10
+controller.arbiterCycles 4
+controller.seqFlowCrcCycles 10
+controller.serdesConvertCycles 10
+controller.txPropagation 85000
+controller.rxPropagation 40000
+controller.rxFixedCycles 30
+controller.rxPerFlit 5000
+controller.txBytesPerSecondPerLink 0x1.bf08ebp+32
+controller.rxBytesPerSecondPerLink 0x1.38eca48p+33
+controller.txPerPacketOverheadBytes 8
+controller.rxPerPacketOverheadBytes 24
+controller.numLinks 2
+controller.bitErrorRate 0x1.19799812dea11p-40
+controller.inputBufferFlits 0
+)");
+}
+
 TEST(WireCodec, RejectsTruncationAndGarbage)
 {
     const std::string blob =

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "protocol/packet_pool.hh"
+#include "runner/config_digest.hh"
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
 
@@ -401,6 +402,19 @@ TEST(AllocationGuard, PoolAcquireReleaseCycleIsAllocationFree)
     }
     EXPECT_EQ(g_allocations - before, 0u);
     EXPECT_EQ(pool.blocksAllocated(), 1u);
+}
+
+TEST(AllocationGuard, ConfigDigestsAreAllocationFree)
+{
+    // Digests run on every sweep point and every serve memory hit.
+    const ExperimentConfig cfg;
+    const StreamExperimentConfig stream;
+    const std::size_t before = g_allocations;
+    const std::uint64_t sink = configDigest(cfg) ^
+                               configDigest(cfg, false) ^
+                               warmupDigest(cfg) ^ configDigest(stream);
+    EXPECT_EQ(g_allocations - before, 0u);
+    EXPECT_NE(sink, 0u);
 }
 
 } // namespace

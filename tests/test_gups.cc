@@ -34,6 +34,25 @@ genCfg(AddressingMode mode, Bytes size, Addr mask = 0, Addr anti = 0)
     return cfg;
 }
 
+TEST(AddressGenerator, ModeNamesRoundTripThroughTheParser)
+{
+    for (const AddressingMode mode :
+         {AddressingMode::Random, AddressingMode::Linear}) {
+        AddressingMode parsed = mode == AddressingMode::Random
+                                    ? AddressingMode::Linear
+                                    : AddressingMode::Random;
+        ASSERT_TRUE(
+            parseAddressingMode(addressingModeName(mode), parsed))
+            << addressingModeName(mode);
+        EXPECT_EQ(parsed, mode);
+    }
+    // Unknown names fail and leave the output untouched.
+    AddressingMode parsed = AddressingMode::Linear;
+    EXPECT_FALSE(parseAddressingMode("Random", parsed));
+    EXPECT_FALSE(parseAddressingMode("", parsed));
+    EXPECT_EQ(parsed, AddressingMode::Linear);
+}
+
 TEST(AddressGenerator, LinearStridesByRequestSize)
 {
     AddressGenerator gen(genCfg(AddressingMode::Linear, 128), 1);

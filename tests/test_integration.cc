@@ -4,6 +4,8 @@
  * checking the paper's headline behaviors end to end.
  */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "gups/patterns.hh"
@@ -215,12 +217,23 @@ TEST(Integration, Hmc2ConfigRunsAndScalesVaults)
 
 // ---- Property sweeps ----------------------------------------------------
 
+// gtest names each case after a hex dump of its parameter, padding
+// included, so the padding is spelled out and zeroed: uninitialised
+// padding bytes made the registered test names differ between runs.
 struct SweepParam
 {
+    SweepParam(RequestMix m, Bytes s, unsigned v)
+        : mix(m), size(s), vaults(v)
+    {
+    }
+
     RequestMix mix;
+    std::uint8_t pad0[7] = {};
     Bytes size;
     unsigned vaults;
+    std::uint32_t pad1 = 0;
 };
+static_assert(sizeof(SweepParam) == 24, "no implicit padding left");
 
 class ExperimentPropertySweep
     : public ::testing::TestWithParam<SweepParam>

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -23,11 +24,16 @@ namespace
 
 // ---- Mapper uniformity over (max block, scheme) -------------------------
 
+// gtest names each case after a hex dump of its parameter; the
+// trailing byte is spelled out so the name holds no uninitialised
+// padding.
 struct MapperParam
 {
     MaxBlockSize maxBlock;
     MappingScheme scheme;
+    std::uint8_t pad = 0;
 };
+static_assert(sizeof(MapperParam) == 4, "no implicit padding left");
 
 class MapperUniformity : public ::testing::TestWithParam<MapperParam>
 {
@@ -121,11 +127,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Thermal closed form vs transient over a grid --------------------------
 
+// Padding spelled out and zeroed, as for MapperParam.
 struct ThermalParam
 {
+    ThermalParam(unsigned c, double w) : cooling(c), powerW(w) {}
+
     unsigned cooling;
+    std::uint32_t pad = 0;
     double powerW;
 };
+static_assert(sizeof(ThermalParam) == 16, "no implicit padding left");
 
 class ThermalGrid : public ::testing::TestWithParam<ThermalParam>
 {

@@ -108,6 +108,26 @@ TEST(Packet, Names)
     EXPECT_STREQ(requestMixName(RequestMix::WriteOnly), "wo");
 }
 
+TEST(Packet, MixNamesRoundTripThroughTheParser)
+{
+    for (const RequestMix mix :
+         {RequestMix::ReadOnly, RequestMix::WriteOnly,
+          RequestMix::ReadModifyWrite, RequestMix::Atomic}) {
+        RequestMix parsed = mix == RequestMix::ReadOnly
+                                ? RequestMix::Atomic
+                                : RequestMix::ReadOnly;
+        ASSERT_TRUE(parseRequestMix(requestMixName(mix), parsed))
+            << requestMixName(mix);
+        EXPECT_EQ(parsed, mix);
+    }
+    // Unknown names fail and leave the output untouched.
+    RequestMix parsed = RequestMix::WriteOnly;
+    EXPECT_FALSE(parseRequestMix("RO", parsed));
+    EXPECT_FALSE(parseRequestMix("", parsed));
+    EXPECT_FALSE(parseRequestMix("?", parsed));
+    EXPECT_EQ(parsed, RequestMix::WriteOnly);
+}
+
 // ---- CRC ------------------------------------------------------------
 
 TEST(Crc32, DeterministicAndDataDependent)

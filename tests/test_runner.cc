@@ -10,12 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <set>
 #include <stdexcept>
 
+#include "dist/wire.hh"
+#include "host/experiment_fields.hh"
 #include "runner/config_digest.hh"
 #include "runner/result_cache.hh"
 #include "runner/sink.hh"
@@ -127,48 +131,140 @@ TEST(ConfigDigest, StableAcrossAssignmentOrder)
     EXPECT_EQ(configDigest(a), configDigest(c));
 }
 
+/**
+ * Field-table visitor that nudges exactly one field (the @p target-th
+ * of the walk) to a different valid value, recording its key.
+ */
+struct PerturbOne
+{
+    explicit PerturbOne(std::size_t target) : target(target) {}
+
+    std::size_t target;
+    std::size_t index = 0;
+    std::string key;
+
+    bool
+    hit(const FieldKey &k)
+    {
+        if (index++ != target)
+            return false;
+        key = std::string(k.prefix) + k.name;
+        return true;
+    }
+
+    template <typename T>
+    void
+    operator()(const FieldKey &k, T &v)
+    {
+        if (!hit(k))
+            return;
+        if constexpr (std::is_same_v<T, std::string>)
+            v += '~';
+        else if constexpr (std::is_same_v<T, bool>)
+            v = !v;
+        else if constexpr (std::is_same_v<T, double>)
+            v = std::nextafter(v, 1e300);
+        else
+            v += 1;
+    }
+
+    template <typename E, std::size_t N>
+    void
+    operator()(const FieldKey &k, E &v, const E (&valid)[N])
+    {
+        if (!hit(k))
+            return;
+        const auto *at = std::find(valid, valid + N, v);
+        v = valid[(static_cast<std::size_t>(at - valid) + 1) % N];
+    }
+};
+
+/** The @p target-th field of the walk as comparable bytes. */
+struct ReadOne
+{
+    explicit ReadOne(std::size_t target) : target(target) {}
+
+    std::size_t target;
+    std::size_t index = 0;
+    std::string bytes;
+
+    template <typename T>
+    void
+    operator()(const FieldKey &, const T &v)
+    {
+        if (index++ != target)
+            return;
+        if constexpr (std::is_same_v<T, std::string>) {
+            bytes = v;
+        } else {
+            bytes.assign(sizeof(T), '\0');
+            std::memcpy(bytes.data(), &v, sizeof(T));
+        }
+    }
+
+    template <typename E, std::size_t N>
+    void
+    operator()(const FieldKey &k, const E &v, const E (&)[N])
+    {
+        (*this)(k, v);
+    }
+};
+
+template <typename Cfg>
+std::size_t
+fieldCount(const Cfg &cfg)
+{
+    ReadOne count(~std::size_t(0));
+    forEachField(cfg, count);
+    return count.index;
+}
+
 TEST(ConfigDigest, EveryFieldChangesTheDigest)
 {
     const ExperimentConfig base = digestTestConfig();
-    const std::uint64_t ref = configDigest(base);
+    const std::size_t fields = fieldCount(base);
+    // 79 fields today; the loop below covers however many there are.
+    ASSERT_GE(fields, 79u);
 
-    auto mutated = [&base](auto &&mutate) {
+    std::set<std::uint64_t> digests{configDigest(base)};
+    for (std::size_t i = 0; i < fields; ++i) {
         ExperimentConfig cfg = base;
-        mutate(cfg);
-        return configDigest(cfg);
-    };
+        PerturbOne perturb(i);
+        forEachField(cfg, perturb);
+        SCOPED_TRACE(perturb.key);
 
-    std::set<std::uint64_t> digests{ref};
-    digests.insert(
-        mutated([](ExperimentConfig &c) { c.requestSize = 32; }));
-    digests.insert(
-        mutated([](ExperimentConfig &c) { c.mix = RequestMix::Atomic; }));
-    digests.insert(mutated(
-        [](ExperimentConfig &c) { c.mode = AddressingMode::Linear; }));
-    digests.insert(mutated([](ExperimentConfig &c) { c.numPorts = 3; }));
-    digests.insert(mutated([](ExperimentConfig &c) { c.seed = 99; }));
-    digests.insert(
-        mutated([](ExperimentConfig &c) { c.measure = 60 * tickUs; }));
-    digests.insert(mutated([](ExperimentConfig &c) {
-        c.pattern.mask = c.pattern.mask ^ 0x80;
-    }));
-    digests.insert(mutated([](ExperimentConfig &c) {
-        c.device.mapping = MappingScheme::BankFirst;
-    }));
-    digests.insert(mutated([](ExperimentConfig &c) {
-        c.controller.bitErrorRate = 1e-12;
-    }));
-    digests.insert(mutated([](ExperimentConfig &c) {
-        c.device.vault.timings.tRcd += 1;
-    }));
-    digests.insert(mutated([](ExperimentConfig &c) {
-        c.device.vault.backend.kind = BackendKind::Nvm;
-    }));
-    digests.insert(mutated([](ExperimentConfig &c) {
-        c.device.vault.backend.nvmWriteLatency += 1;
-    }));
-    // All 13 distinct: no mutation collided with another or with ref.
-    EXPECT_EQ(digests.size(), 13u);
+        EXPECT_TRUE(digests.insert(configDigest(cfg)).second);
+        EXPECT_EQ(configDigest(cfg, false) == configDigest(base, false),
+                  perturb.key == "seed");
+        // The warm-up identity ignores exactly the measure window.
+        EXPECT_EQ(warmupDigest(cfg) == warmupDigest(base),
+                  perturb.key == "measure");
+
+        ExperimentConfig back;
+        ASSERT_TRUE(
+            decodeExperimentConfig(encodeExperimentConfig(cfg), back));
+        ReadOne sent(i), got(i);
+        forEachField(cfg, sent);
+        forEachField(back, got);
+        EXPECT_EQ(got.bytes, sent.bytes);
+        EXPECT_EQ(configDigest(back), configDigest(cfg));
+    }
+}
+
+TEST(ConfigDigest, EveryStreamFieldChangesTheDigest)
+{
+    const StreamExperimentConfig base;
+    const std::size_t fields = fieldCount(base);
+    std::set<std::uint64_t> digests{configDigest(base)};
+    for (std::size_t i = 0; i < fields; ++i) {
+        StreamExperimentConfig cfg = base;
+        PerturbOne perturb(i);
+        forEachField(cfg, perturb);
+        SCOPED_TRACE(perturb.key);
+        EXPECT_TRUE(digests.insert(configDigest(cfg)).second);
+        EXPECT_EQ(configDigest(cfg, false) == configDigest(base, false),
+                  perturb.key == "seed");
+    }
 }
 
 TEST(ConfigDigest, SeedExcludedOnRequest)
