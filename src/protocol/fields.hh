@@ -12,6 +12,12 @@
  * The timing model works on byte counts, so these encoders sit on the
  * correctness path: they give the CRC real bytes to protect and the
  * retry/flow-control machinery real fields to operate on.
+ *
+ * packetCrc runs twice per request (the controller stamps the tail,
+ * the cube verifies it), so it is a folding kernel over carry-less
+ * multiply on hosts that have PCLMULQDQ, chosen at run time; elsewhere
+ * it feeds the portable Crc32 (protocol/crc.hh). Both give the same
+ * CRC.
  */
 
 #ifndef HMCSIM_PROTOCOL_FIELDS_HH
@@ -85,10 +91,11 @@ Bytes payloadForCode(std::uint8_t code);
 RequestHeader makeRequestHeader(const Packet &pkt, std::uint8_t cub = 0);
 
 /**
- * Compute the tail CRC of a packet: covers the encoded header and a
- * deterministic pseudo-payload derived from the packet identity (the
+ * Compute the tail CRC of a packet: the HMC CRC-32 (crc.hh) of the
+ * encoded header followed by payload/8 words of a deterministic
+ * pseudo-payload, splitMix64 over pkt.id ^ (pkt.addr << 1). The
  * simulator does not track data bytes; the pseudo-payload gives the
- * CRC real, distinct bytes to protect).
+ * CRC real, distinct bytes to protect.
  */
 std::uint32_t packetCrc(const Packet &pkt, std::uint64_t header_bits);
 

@@ -15,7 +15,7 @@ namespace
 {
 
 /** Sort order for overflow runs: descending by (when, seq), so the
- *  entry firing earliest sits at the back and migration pops are
+ *  key firing earliest sits at the back and migration pops are
  *  sequential O(1). */
 struct FiresLater
 {
@@ -30,7 +30,32 @@ struct FiresLater
 
 } // namespace
 
-EventQueue::EventQueue() : buckets(numBuckets) {}
+EventQueue::EventQueue() : heads(numBuckets, noNode) {}
+
+void
+EventQueue::growSlab()
+{
+    const std::size_t base = nodes.size();
+    HMCSIM_DCHECK(base + chunkEvents < noNode, "event slab is full");
+    chunks.push_back(std::make_unique<Event[]>(chunkEvents));
+    nodes.resize(base + chunkEvents);
+    // Thread the chunk in reverse so its lowest node is handed out
+    // first and a warm queue cycles through a compact set of nodes.
+    for (std::size_t i = chunkEvents; i-- > 0;) {
+        nodes[base + i].next = freeHead;
+        freeHead = static_cast<NodeId>(base + i);
+    }
+}
+
+EventQueue::NodeId
+EventQueue::acquireNode()
+{
+    if (freeHead == noNode)
+        growSlab();
+    const NodeId id = freeHead;
+    freeHead = nodes[id].next;
+    return id;
+}
 
 void
 EventQueue::schedule(Tick when, Event ev)
@@ -43,49 +68,46 @@ EventQueue::schedule(Tick when, Event ev)
                  "scheduling event in the past (when=%llu now=%llu)",
                  static_cast<unsigned long long>(when),
                  static_cast<unsigned long long>(_now));
-    Entry entry{when, nextSeq++, std::move(ev)};
+    const NodeId id = acquireNode();
+    const std::uint64_t seq = nextSeq++;
+    eventOf(id) = std::move(ev);
+    nodes[id].when = when;
+    nodes[id].seq = seq;
     ++numPending;
 
     const std::uint64_t abs = bucketOf(when);
+    if (abs > cursorBucket && abs - cursorBucket < numBuckets) {
+        linkIntoWheel(id, abs);
+        return;
+    }
+    const Key key{when, seq, id};
     if (abs == cursorBucket) {
         // Into the bucket being drained: sorted insert among the
-        // not-yet-fired entries. Inserting by `when` alone keeps FIFO
-        // for equal ticks because this entry carries the largest seq.
+        // not-yet-fired keys. Inserting by `when` alone keeps FIFO
+        // for equal ticks because this key carries the largest seq.
         const auto pos = std::upper_bound(
-            current.begin() +
-                static_cast<std::ptrdiff_t>(drainIdx),
+            current.begin() + static_cast<std::ptrdiff_t>(drainIdx),
             current.end(), when,
-            [](Tick w, const Entry &e) { return w < e.when; });
-        current.insert(pos, std::move(entry));
+            [](Tick w, const Key &k) { return w < k.when; });
+        current.insert(pos, key);
         return;
     }
     if (abs < cursorBucket) {
         // The cursor ran ahead over empty buckets (e.g. a peek past
-        // the runUntil limit); pull it back. Undrained entries of the
+        // the runUntil limit); pull it back. Undrained keys of the
         // old cursor bucket return to their wheel slot, where the lap
         // check will find them again.
-        auto &slot = buckets[cursorBucket & bucketMask];
-        for (std::size_t i = drainIdx; i < current.size(); ++i) {
-            slot.push_back(std::move(current[i]));
-            ++wheelCount;
-        }
-        if (!slot.empty())
-            markOccupied(cursorBucket & bucketMask);
+        for (std::size_t i = drainIdx; i < current.size(); ++i)
+            linkIntoWheel(current[i].node, cursorBucket);
         current.clear();
         drainIdx = 0;
         cursorBucket = abs;
-        current.push_back(std::move(entry));
-        return;
-    }
-    if (abs < cursorBucket + numBuckets) {
-        buckets[abs & bucketMask].push_back(std::move(entry));
-        markOccupied(abs & bucketMask);
-        ++wheelCount;
+        current.push_back(key);
         return;
     }
     if (abs < stagingMinBucket)
         stagingMinBucket = abs;
-    staging.push_back(std::move(entry));
+    staging.push_back(key);
     ++overflowCount;
 }
 
@@ -109,10 +131,7 @@ EventQueue::foldStagingIntoRuns()
         auto &b = runs.back();
         mergeScratch.clear();
         mergeScratch.reserve(a.size() + b.size());
-        std::merge(std::make_move_iterator(a.begin()),
-                   std::make_move_iterator(a.end()),
-                   std::make_move_iterator(b.begin()),
-                   std::make_move_iterator(b.end()),
+        std::merge(a.begin(), a.end(), b.begin(), b.end(),
                    std::back_inserter(mergeScratch), FiresLater{});
         a.swap(mergeScratch);
         runs.pop_back();
@@ -126,20 +145,15 @@ EventQueue::migrateOverflow()
     if (stagingMinBucket < windowEnd)
         foldStagingIntoRuns();
 
-    // Runs are sorted descending, so every in-window entry of a run is
+    // Runs are sorted descending, so every in-window key of a run is
     // a pop from its back. Migration order across runs is irrelevant:
     // the bucket drain re-sorts by (when, seq), so execution order --
     // and therefore every stat digest -- is unchanged.
     runsMinBucket = noBucket;
     for (auto &run : runs) {
-        while (!run.empty() &&
-               bucketOf(run.back().when) < windowEnd) {
-            Entry entry = std::move(run.back());
+        while (!run.empty() && bucketOf(run.back().when) < windowEnd) {
+            linkIntoWheel(run.back().node, bucketOf(run.back().when));
             run.pop_back();
-            const std::uint64_t abs = bucketOf(entry.when);
-            buckets[abs & bucketMask].push_back(std::move(entry));
-            markOccupied(abs & bucketMask);
-            ++wheelCount;
             --overflowCount;
         }
         if (!run.empty()) {
@@ -148,36 +162,52 @@ EventQueue::migrateOverflow()
                 runsMinBucket = b;
         }
     }
-    std::erase_if(runs, [](const std::vector<Entry> &r) { return r.empty(); });
+    std::erase_if(runs, [](const std::vector<Key> &r) { return r.empty(); });
+}
+
+std::uint64_t
+EventQueue::firstOccupiedFrom(std::uint64_t from) const
+{
+    if (from >= numBuckets)
+        return numBuckets;
+    std::uint64_t word = from >> 6;
+    const std::uint64_t bits = occupied[word] & (~std::uint64_t{0} << (from & 63));
+    if (bits != 0)
+        return (word << 6) |
+               static_cast<std::uint64_t>(__builtin_ctzll(bits));
+    // Find the next non-empty occupancy word through the summary.
+    for (++word; word < occupiedWords; word = (word | 63) + 1) {
+        const std::uint64_t summary =
+            occupiedSummary[word >> 6] & (~std::uint64_t{0} << (word & 63));
+        if (summary != 0) {
+            word = (word & ~std::uint64_t{63}) |
+                   static_cast<std::uint64_t>(__builtin_ctzll(summary));
+            return (word << 6) |
+                   static_cast<std::uint64_t>(
+                       __builtin_ctzll(occupied[word]));
+        }
+    }
+    return numBuckets;
 }
 
 std::uint64_t
 EventQueue::nextOccupiedBucket() const
 {
-    if (wheelCount == 0)
+    // The first set slot at ring distance d in [1, numBuckets] from
+    // the cursor's slot is the answer.
+    const std::uint64_t cur = cursorBucket & bucketMask;
+    const std::uint64_t ahead = firstOccupiedFrom(cur + 1);
+    if (ahead != numBuckets)
+        return cursorBucket + (ahead - cur);
+    const std::uint64_t wrapped = firstOccupiedFrom(0);
+    if (wrapped == numBuckets)
         return noBucket;
-    // Ring-scan the bitmap starting one past the cursor's slot; the
-    // first set bit at distance d in [1, numBuckets] is the answer.
-    std::uint64_t dist = 1;
-    std::uint64_t idx = (cursorBucket + 1) & bucketMask;
-    std::uint64_t scanned = 0;
-    while (scanned < numBuckets) {
-        const std::uint64_t off = idx & 63;
-        const std::uint64_t span = 64 - off;
-        const std::uint64_t bits = occupied[idx >> 6] >> off;
-        if (bits != 0)
-            return cursorBucket + dist +
-                   static_cast<std::uint64_t>(__builtin_ctzll(bits));
-        idx = (idx + span) & bucketMask;
-        dist += span;
-        scanned += span;
-    }
-    // Only the cursor's own slot is occupied: its entries belong to a
-    // later lap (possible after a cursor rewind).
-    return cursorBucket + numBuckets;
+    // wrapped == cur: only the cursor's own slot is occupied, and its
+    // entries belong to a later lap (possible after a cursor rewind).
+    return cursorBucket + (numBuckets - cur) + wrapped;
 }
 
-EventQueue::Entry *
+const EventQueue::Key *
 EventQueue::peekNext()
 {
     for (;;) {
@@ -188,32 +218,34 @@ EventQueue::peekNext()
         current.clear();
         drainIdx = 0;
 
-        // Pull this lap's entries out of the cursor's wheel slot;
-        // entries a full wheel revolution (or more) ahead stay put.
-        auto &slot = buckets[cursorBucket & bucketMask];
-        if (!slot.empty()) {
-            std::size_t keep = 0;
-            for (std::size_t i = 0; i < slot.size(); ++i) {
-                if (bucketOf(slot[i].when) == cursorBucket) {
-                    current.push_back(std::move(slot[i]));
+        // Pull this lap's nodes out of the cursor's wheel slot; nodes
+        // a full wheel revolution (or more) ahead stay linked.
+        const std::uint64_t slot = cursorBucket & bucketMask;
+        if (heads[slot] != noNode) {
+            NodeId later = noNode;
+            for (NodeId id = heads[slot]; id != noNode;) {
+                const Node &node = nodes[id];
+                const NodeId next = node.next;
+                if (bucketOf(node.when) == cursorBucket) {
+                    current.push_back({node.when, node.seq, id});
                 } else {
-                    if (keep != i)
-                        slot[keep] = std::move(slot[i]);
-                    ++keep;
+                    nodes[id].next = later;
+                    later = id;
                 }
+                id = next;
             }
-            slot.erase(slot.begin() + static_cast<std::ptrdiff_t>(keep),
-                       slot.end());
-            if (slot.empty())
-                clearOccupied(cursorBucket & bucketMask);
+            heads[slot] = later;
+            if (later == noNode)
+                clearOccupied(slot);
             if (!current.empty()) {
-                wheelCount -= current.size();
-                // Sort by (when, seq): equal ticks stay FIFO. std::sort
-                // is in-place -- stable_sort would heap-allocate a merge
-                // buffer on every bucket drain, breaking the
-                // allocation-free steady state.
+                // The list is newest-first; reversed it is in schedule
+                // order, which the sort by (when, seq) mostly keeps.
+                // std::sort is in-place -- stable_sort would
+                // heap-allocate a merge buffer on every bucket drain,
+                // breaking the allocation-free steady state.
+                std::reverse(current.begin(), current.end());
                 std::sort(current.begin(), current.end(),
-                          [](const Entry &a, const Entry &b) {
+                          [](const Key &a, const Key &b) {
                               if (a.when != b.when)
                                   return a.when < b.when;
                               return a.seq < b.seq;
@@ -225,7 +257,7 @@ EventQueue::peekNext()
         // Jump the cursor straight to the next bucket holding work --
         // the nearest occupied wheel slot or the earliest overflow
         // entry, whichever fires first -- instead of stepping one
-        // ~1 ns bucket at a time through idle simulated time.
+        // ~4 ns bucket at a time through idle simulated time.
         const std::uint64_t wheel_next = nextOccupiedBucket();
         const std::uint64_t ovf_next = overflowMin();
         const std::uint64_t next =
@@ -240,16 +272,26 @@ EventQueue::peekNext()
 }
 
 void
-EventQueue::execute(Entry &entry)
+EventQueue::executeNext()
 {
-    HMCSIM_DCHECK(entry.when >= _now,
+    const Key key = current[drainIdx];
+    ++drainIdx;
+    --numPending;
+    HMCSIM_DCHECK(key.when >= _now,
                   "event time went backwards (when=%llu now=%llu)",
-                  static_cast<unsigned long long>(entry.when),
+                  static_cast<unsigned long long>(key.when),
                   static_cast<unsigned long long>(_now));
-    _now = entry.when;
+    _now = key.when;
     check_detail::setCurrentTick(_now);
     ++numExecuted;
-    entry.ev();
+    // The event runs in its slab slot: chunks never move, so the
+    // callback may schedule (and grow the slab) freely. The node is
+    // recycled only after it returns.
+    Event &ev = eventOf(key.node);
+    ev();
+    ev = Event{};
+    nodes[key.node].next = freeHead;
+    freeHead = key.node;
     if (checkerRegistry && ++eventsSinceCheck >= checkEveryN) {
         eventsSinceCheck = 0;
         checkerRegistry->runAll(_now);
@@ -261,10 +303,7 @@ EventQueue::step()
 {
     if (peekNext() == nullptr)
         return false;
-    Entry entry = std::move(current[drainIdx]);
-    ++drainIdx;
-    --numPending;
-    execute(entry);
+    executeNext();
     return true;
 }
 
@@ -272,13 +311,10 @@ Tick
 EventQueue::runUntil(Tick limit)
 {
     for (;;) {
-        Entry *next = peekNext();
+        const Key *next = peekNext();
         if (next == nullptr || next->when > limit)
             break;
-        Entry entry = std::move(current[drainIdx]);
-        ++drainIdx;
-        --numPending;
-        execute(entry);
+        executeNext();
     }
     if (_now < limit)
         _now = limit;
@@ -319,16 +355,20 @@ EventQueue::pendingSnapshot() const
 {
     std::vector<PendingView> views;
     views.reserve(numPending);
+    const auto add = [this, &views](Tick when, std::uint64_t seq,
+                                    NodeId id) {
+        views.push_back({when, seq, &eventOf(id)});
+    };
     for (std::size_t i = drainIdx; i < current.size(); ++i)
-        views.push_back({current[i].when, current[i].seq, &current[i].ev});
-    for (const auto &slot : buckets)
-        for (const auto &entry : slot)
-            views.push_back({entry.when, entry.seq, &entry.ev});
-    for (const auto &entry : staging)
-        views.push_back({entry.when, entry.seq, &entry.ev});
+        add(current[i].when, current[i].seq, current[i].node);
+    for (const NodeId head : heads)
+        for (NodeId id = head; id != noNode; id = nodes[id].next)
+            add(nodes[id].when, nodes[id].seq, id);
+    for (const Key &key : staging)
+        add(key.when, key.seq, key.node);
     for (const auto &run : runs)
-        for (const auto &entry : run)
-            views.push_back({entry.when, entry.seq, &entry.ev});
+        for (const Key &key : run)
+            add(key.when, key.seq, key.node);
     HMCSIM_DCHECK(views.size() == numPending,
                   "pending snapshot found %llu entries, counter says %llu",
                   static_cast<unsigned long long>(views.size()),
@@ -377,18 +417,28 @@ EventQueue::restoreFinish(std::uint64_t next_seq,
 void
 EventQueue::reset()
 {
-    for (auto &slot : buckets)
-        slot.clear();
+    // Drop every pending event's capture (non-trivial ones release
+    // what they hold) and return all nodes to the free list.
+    freeHead = noNode;
+    for (std::size_t c = chunks.size(); c-- > 0;) {
+        for (std::size_t i = chunkEvents; i-- > 0;) {
+            chunks[c][i] = Event{};
+            const std::size_t id = c * chunkEvents + i;
+            nodes[id].next = freeHead;
+            freeHead = static_cast<NodeId>(id);
+        }
+    }
+    std::fill(heads.begin(), heads.end(), noNode);
     current.clear();
     staging.clear();
     runs.clear();
     occupied.fill(0);
+    occupiedSummary.fill(0);
     stagingMinBucket = noBucket;
     runsMinBucket = noBucket;
     overflowCount = 0;
     drainIdx = 0;
     cursorBucket = 0;
-    wheelCount = 0;
     numPending = 0;
     _now = 0;
     nextSeq = 0;

@@ -8,25 +8,35 @@
  * in scheduling order (FIFO), which keeps component pipelines
  * deterministic.
  *
- * Internally the queue is a two-level bucketed calendar rather than a
- * binary heap (docs/performance.md):
+ * Internally the queue is a slab-backed two-level calendar rather than
+ * a binary heap (docs/performance.md):
  *
+ *  - a slab of event nodes holds every pending Event at a stable
+ *    address: Events live in fixed 1024-slot chunks that never move,
+ *    and each node's (when, seq, next) metadata sits in one dense
+ *    array. An event fires in place and its node returns to an
+ *    intrusive free list, so neither scheduling nor firing relocates
+ *    a callable.
  *  - a timing wheel of `numBuckets` buckets, each spanning
- *    `bucketTicks` picoseconds, holds the near future (~1 us ahead of
- *    the cursor). schedule() is an append; ordering inside the one
- *    bucket being drained costs one stable sort per bucket plus a
+ *    `bucketTicks` picoseconds, holds the next ~67 us -- long enough
+ *    for a vault-queued response round trip and for refresh
+ *    deadlines. A bucket is an intrusive singly linked list of nodes,
+ *    so schedule() is a push-front; a two-level occupancy bitmap lets
+ *    the cursor skip idle time. The bucket being drained is copied
+ *    into a small (when, seq, node) key buffer and sorted once, with a
  *    sorted insert for same-bucket arrivals.
- *  - a sorted-run ladder holds the far future (refresh deadlines,
- *    thermal sampling, end-of-window drains): schedule() appends to an
- *    unsorted staging buffer, which is sorted wholesale into a run the
- *    first time the wheel's window touches it. Entries migrate into
+ *  - a sorted-run ladder of keys holds what lies beyond the wheel
+ *    (thermal sampling, end-of-window drains): schedule() appends to
+ *    an unsorted staging buffer, which is sorted wholesale into a run
+ *    the first time the wheel's window touches it. Keys migrate into
  *    the wheel as the cursor advances, as sequential pops from the
- *    run backs.
+ *    run backs; the Events themselves stay in the slab.
  *
  * Execution order is exactly (when, seq) -- identical to the old
  * heap, so stat digests and the --selfcheck probe are unchanged.
  * Events are hmcsim::Event (sim/event.hh): fixed-size, inline-capture
- * callables, so the steady-state schedule/fire path performs no heap
+ * callables, and the slab only grows while the pending high-water
+ * mark does, so the steady-state schedule/fire path performs no heap
  * allocation at all.
  */
 
@@ -35,6 +45,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/event.hh"
@@ -56,13 +67,16 @@ using EventFn = Event;
 class EventQueue
 {
   public:
-    /** Wheel bucket span in ticks (power of two; 1024 ps ~= 1 ns,
-     *  finer than every modeled pipeline latency). */
-    static constexpr Tick bucketTicks = 1024;
+    /** Wheel bucket span in ticks (power of two; 4096 ps ~= 4 ns).
+     *  A bucket is sorted when it drains, so the span only trades
+     *  sort length against the number of buckets. */
+    static constexpr Tick bucketTicks = 4096;
     /** Number of wheel buckets (power of two). The wheel spans
-     *  bucketTicks * numBuckets ~= 1 us beyond the cursor; refresh
-     *  (7.8 us) and thermal sampling live in the overflow heap. */
-    static constexpr std::size_t numBuckets = 1024;
+     *  bucketTicks * numBuckets ~= 67 us beyond the cursor, which
+     *  covers the high-load round trip (vault queueing makes it
+     *  us-scale) and refresh (7.8 us); thermal sampling and
+     *  end-of-window drains live in the overflow ladder. */
+    static constexpr std::size_t numBuckets = 16384;
 
     EventQueue();
     EventQueue(const EventQueue &) = delete;
@@ -168,33 +182,83 @@ class EventQueue
                        std::uint64_t events_since_check);
 
   private:
-    struct Entry
+    /** Index of a node in the event slab. */
+    using NodeId = std::uint32_t;
+    static constexpr NodeId noNode = ~NodeId{0};
+
+    /** Ordering metadata of one slab node. `next` links the node
+     *  into its wheel bucket's list while pending, and into the free
+     *  list while unused. */
+    struct Node
     {
         Tick when;
         std::uint64_t seq;
-        Event ev;
+        NodeId next;
     };
+
+    /** Sort key of a pending node: what the drain buffer and the
+     *  overflow ladder hold, so ordering never touches an Event. */
+    struct Key
+    {
+        Tick when;
+        std::uint64_t seq;
+        NodeId node;
+    };
+
+    /** Events per slab chunk. */
+    static constexpr std::size_t chunkEvents = 1024;
 
     /** Run attached checkers at a drain point. */
     void runCheckers();
 
-    /** Execute @p entry at its tick (shared by step/runUntil). */
-    void execute(Entry &entry);
+    /** Pop the next key (already located by peekNext) and execute it
+     *  at its tick (shared by step/runUntil). */
+    void executeNext();
 
     /**
      * Locate the next event in (when, seq) order, advancing the
-     * cursor past empty buckets and migrating overflow entries whose
+     * cursor past empty buckets and migrating overflow keys whose
      * tick slid under the wheel window. Returns nullptr when empty.
      * Does not advance now() or pop the event.
      */
-    Entry *peekNext();
+    const Key *peekNext();
 
-    /** Move in-window overflow entries into their wheel buckets. */
+    /** Move in-window overflow keys into their wheel buckets. */
     void migrateOverflow();
 
     /** Sort the staging buffer into a run and fold it into the run
      *  ladder, merging runs to keep their sizes geometric. */
     void foldStagingIntoRuns();
+
+    /** A free node, growing the slab by one chunk when none is left. */
+    NodeId acquireNode();
+
+    /** Add a chunk of nodes to the slab and the free list. */
+    void growSlab();
+
+    /** The Event stored in node @p id. */
+    Event &
+    eventOf(NodeId id)
+    {
+        return chunks[id / chunkEvents][id % chunkEvents];
+    }
+
+    const Event &
+    eventOf(NodeId id) const
+    {
+        return chunks[id / chunkEvents][id % chunkEvents];
+    }
+
+    /** Push node @p id onto the list of the wheel slot holding
+     *  absolute bucket @p abs. */
+    void
+    linkIntoWheel(NodeId id, std::uint64_t abs)
+    {
+        const std::uint64_t slot = abs & bucketMask;
+        nodes[id].next = heads[slot];
+        heads[slot] = id;
+        markOccupied(slot);
+    }
 
     /** Bucket of the earliest overflow entry (staging or runs);
      *  noBucket when the overflow is empty. */
@@ -211,63 +275,84 @@ class EventQueue
     /** Sentinel for "no overflow entries pending". */
     static constexpr std::uint64_t noBucket = ~std::uint64_t{0};
 
+    static constexpr std::size_t occupiedWords = numBuckets / 64;
+
     void
     markOccupied(std::uint64_t slot)
     {
-        occupied[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+        const std::uint64_t word = slot >> 6;
+        occupied[word] |= std::uint64_t{1} << (slot & 63);
+        occupiedSummary[word >> 6] |= std::uint64_t{1} << (word & 63);
     }
 
     void
     clearOccupied(std::uint64_t slot)
     {
-        occupied[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+        const std::uint64_t word = slot >> 6;
+        occupied[word] &= ~(std::uint64_t{1} << (slot & 63));
+        if (occupied[word] == 0)
+            occupiedSummary[word >> 6] &= ~(std::uint64_t{1} << (word & 63));
     }
+
+    /** First occupied wheel slot at or after @p from (no wrap), or
+     *  numBuckets when there is none. */
+    std::uint64_t firstOccupiedFrom(std::uint64_t from) const;
 
     /**
      * Absolute bucket index of the nearest occupied wheel slot after
      * the cursor (up to one full lap, so a slot holding only
      * later-lap entries resolves to cursorBucket + numBuckets), or
-     * noBucket when the wheel is empty. Scans the occupancy bitmap a
-     * word at a time, so sparse simulated time costs O(1) per 64
-     * empty buckets instead of one loop iteration each.
+     * noBucket when the wheel is empty. The summary bitmap has one
+     * bit per occupancy word, so sparse simulated time costs O(1)
+     * per 4096 empty buckets instead of one loop iteration each.
      */
     std::uint64_t nextOccupiedBucket() const;
 
     static constexpr std::uint64_t bucketMask = numBuckets - 1;
     static_assert((numBuckets & bucketMask) == 0,
                   "numBuckets must be a power of two");
+    static_assert(numBuckets % (64 * 64) == 0,
+                  "the two-level occupancy bitmap needs whole words");
     static_assert((bucketTicks & (bucketTicks - 1)) == 0,
                   "bucketTicks must be a power of two");
 
-    /** The wheel: bucket b holds entries whose absolute bucket index
-     *  is congruent to b modulo numBuckets; lap membership is checked
-     *  when a bucket drains. */
-    std::vector<std::vector<Entry>> buckets;
-    /** Entries of the bucket currently draining (absolute index
+    /** Slab metadata, one Node per slot of `chunks`. */
+    std::vector<Node> nodes;
+    /** Slab storage: Events never move once their chunk exists, so an
+     *  event can run in place while its callback schedules more. */
+    std::vector<std::unique_ptr<Event[]>> chunks;
+    /** Head of the intrusive free list of nodes. */
+    NodeId freeHead = noNode;
+
+    /** The wheel: slot b heads the list of nodes whose absolute
+     *  bucket index is congruent to b modulo numBuckets; lap
+     *  membership is checked when a bucket drains. */
+    std::vector<NodeId> heads;
+    /** Keys of the bucket currently draining (absolute index
      *  cursorBucket), sorted by (when, seq); [drainIdx, end) remain. */
-    std::vector<Entry> current;
+    std::vector<Key> current;
     std::size_t drainIdx = 0;
     /** Absolute index of the bucket the cursor is on. */
     std::uint64_t cursorBucket = 0;
-    /** Entries resident in wheel buckets (excluding `current`). */
-    std::size_t wheelCount = 0;
-    /** One bit per wheel slot: set while the slot holds entries. */
-    std::array<std::uint64_t, numBuckets / 64> occupied{};
-    /** Far-future entries not yet sorted: schedule() appends here in
+    /** One bit per wheel slot: set while the slot's list is non-empty. */
+    std::array<std::uint64_t, occupiedWords> occupied{};
+    /** One bit per word of `occupied`: set while that word is non-zero. */
+    std::array<std::uint64_t, occupiedWords / 64> occupiedSummary{};
+    /** Far-future keys not yet sorted: schedule() appends here in
      *  O(1) and the batch is sorted wholesale the first time the
      *  wheel's window touches it. A binary heap here costs one
      *  random-access sift-down per entry on migration, which is what
      *  made far-future preloads slow (docs/performance.md). */
-    std::vector<Entry> staging;
+    std::vector<Key> staging;
     /** Ladder of sorted runs, each descending by (when, seq) so the
-     *  earliest entry is a pop from the back. Run sizes are kept
+     *  earliest key is a pop from the back. Run sizes are kept
      *  geometric by merging, bounding the ladder at O(log n) runs. */
-    std::vector<std::vector<Entry>> runs;
+    std::vector<std::vector<Key>> runs;
     /** Reused merge buffer for run compaction. */
-    std::vector<Entry> mergeScratch;
-    /** Total entries across staging and runs. */
+    std::vector<Key> mergeScratch;
+    /** Total keys across staging and runs. */
     std::size_t overflowCount = 0;
-    /** Bucket of the earliest staging / run entry (noBucket when
+    /** Bucket of the earliest staging / run key (noBucket when
      *  empty); lets the cursor advance without touching the data. */
     std::uint64_t stagingMinBucket = noBucket;
     std::uint64_t runsMinBucket = noBucket;

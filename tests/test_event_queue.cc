@@ -3,14 +3,17 @@
  * Tests for the calendar event queue and the allocation-free event
  * core (docs/performance.md): same-tick FIFO within and across the
  * wheel/overflow boundary, runUntil boundary semantics, reset,
- * checker drain-point cadence, far-future overflow migration, Event
+ * checker drain-point cadence, far-future overflow migration, a
+ * differential run against a reference binary heap, Event
  * small-buffer semantics, packet-pool reuse, and an
  * allocation-counting guard over the steady-state scheduling path.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 
 // GCC pairs the replaced operator new with the library operator
 // delete across inlining and misreports the malloc/free replacement
@@ -21,12 +24,14 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <queue>
 #include <vector>
 
 #include "protocol/packet_pool.hh"
 #include "runner/config_digest.hh"
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 
 // ---------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary is
@@ -109,7 +114,7 @@ TEST(CalendarQueue, SameTickFifoAcrossWheelAndOverflow)
     EventQueue q;
     std::vector<int> order;
     // First event targets a tick beyond the wheel horizon, so it
-    // starts life in the overflow heap; by the time the second event
+    // starts life in the overflow ladder; by the time the second event
     // is scheduled at the *same* tick the cursor has advanced and the
     // tick is wheel-resident. Seq order must still win.
     const Tick when = 2 * wheelHorizon + 123;
@@ -144,10 +149,10 @@ TEST(CalendarQueue, OverflowMigratesIntoWheel)
 {
     EventQueue q;
     int fired = 0;
-    // Refresh-style far-future deadlines (7.8 us out) overflow, then
-    // migrate as the window slides over them.
+    // Deadlines two wheel horizons out overflow, then migrate as the
+    // window slides over them.
     for (int i = 0; i < 8; ++i)
-        q.schedule(7800 * tickNs + static_cast<Tick>(i), [&] { ++fired; });
+        q.schedule(2 * wheelHorizon + static_cast<Tick>(i), [&] { ++fired; });
     EXPECT_EQ(q.overflowPending(), 8u);
     EXPECT_EQ(q.pending(), 8u);
     q.runToCompletion();
@@ -254,6 +259,191 @@ TEST(CalendarQueue, StepExecutesOneEventAtATime)
     EXPECT_TRUE(q.step());
     EXPECT_FALSE(q.step());
     EXPECT_EQ(fired, 2);
+}
+
+/**
+ * Differential harness: drives an EventQueue and a reference
+ * std::priority_queue on (when, seq) with the same operations, and
+ * checks every fired event against the reference's top.
+ */
+class QueueDifferential
+{
+  public:
+    struct Ref
+    {
+        Tick when;
+        std::uint64_t seq;
+        std::uint64_t id;
+
+        bool
+        operator>(const Ref &o) const
+        {
+            return when != o.when ? when > o.when : seq > o.seq;
+        }
+    };
+
+    /** priority_queue with its container exposed for snapshots. */
+    struct RefQueue
+        : std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>>
+    {
+        using std::priority_queue<Ref, std::vector<Ref>,
+                                  std::greater<Ref>>::c;
+    };
+
+    /** The trivially-copyable capture every harness event carries. */
+    struct Fire
+    {
+        QueueDifferential *h;
+        std::uint64_t id;
+
+        void operator()() const { h->fired(id); }
+    };
+
+    EventQueue q;
+    RefQueue ref;
+    Xoshiro256StarStar rng{20241017};
+    std::uint64_t nextId = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t executed = 0;
+    std::uint64_t scheduleCalls = 0;
+    std::uint64_t distanceUse[5] = {};
+    bool failed = false;
+
+    /** A scheduling distance from one of five classes: zero, inside
+     *  the current bucket, inside the wheel, just past the horizon,
+     *  and several wheel laps out. */
+    Tick
+    distance()
+    {
+        const std::uint64_t cls = rng.nextBounded(5);
+        ++distanceUse[cls];
+        switch (cls) {
+          case 0:
+            return 0;
+          case 1:
+            return rng.nextBounded(EventQueue::bucketTicks -
+                                   q.now() % EventQueue::bucketTicks);
+          case 2:
+            return rng.nextBounded(wheelHorizon);
+          case 3:
+            return wheelHorizon - 2 * EventQueue::bucketTicks +
+                   rng.nextBounded(4 * EventQueue::bucketTicks);
+          default:
+            return (2 + rng.nextBounded(4)) * wheelHorizon +
+                   rng.nextBounded(wheelHorizon);
+        }
+    }
+
+    void
+    scheduleOne()
+    {
+        const Tick when = q.now() + distance();
+        const std::uint64_t id = nextId++;
+        if (q.seqCounter() != seq)
+            failed = true;
+        q.schedule(when, Fire{this, id});
+        ref.push({when, seq++, id});
+        ++scheduleCalls;
+    }
+
+    void
+    fired(std::uint64_t id)
+    {
+        ++executed;
+        if (ref.empty() || ref.top().id != id ||
+            ref.top().when != q.now()) {
+            failed = true;
+            return;
+        }
+        ref.pop();
+        // Callbacks schedule too, like every model pipeline stage.
+        // Mean 0.7 children keeps the depth bounded.
+        const std::uint64_t draw = rng.nextBounded(10);
+        const int children = draw < 4 ? 0 : draw < 9 ? 1 : 2;
+        for (int i = 0; i < children; ++i)
+            scheduleOne();
+    }
+
+    /** Compare pendingSnapshot() with the reference, in seq order. */
+    void
+    checkSnapshot()
+    {
+        std::vector<Ref> want = ref.c;
+        std::sort(want.begin(), want.end(),
+                  [](const Ref &a, const Ref &b) { return a.seq < b.seq; });
+        const auto views = q.pendingSnapshot();
+        ASSERT_EQ(views.size(), want.size());
+        for (std::size_t i = 0; i < views.size(); ++i) {
+            ASSERT_EQ(views[i].seq, want[i].seq);
+            ASSERT_EQ(views[i].when, want[i].when);
+            ASSERT_EQ(views[i].ev->invokeTarget(),
+                      &Event::invokeAs<Fire>);
+            Fire capture;
+            std::memcpy(&capture, views[i].ev->captureBytes(),
+                        sizeof(capture));
+            ASSERT_EQ(capture.id, want[i].id);
+        }
+    }
+};
+
+TEST(CalendarQueue, MatchesReferenceHeapUnderRandomOperations)
+{
+    QueueDifferential h;
+    std::uint64_t resets = 0;
+    std::uint64_t snapshots = 0;
+    std::uint64_t rewinds = 0;
+    for (int op = 0; op < 120000 && !h.failed; ++op) {
+        const std::uint64_t kind = h.rng.nextBounded(100);
+        if (kind < 55) {
+            h.scheduleOne();
+        } else if (kind < 80) {
+            const bool any = !h.ref.empty();
+            EXPECT_EQ(h.q.step(), any);
+        } else if (kind < 97) {
+            // A runUntil slice, often ending in an idle gap: the peek
+            // past the limit runs the cursor ahead, and the next near
+            // schedule has to pull it back.
+            const bool idle_before =
+                h.ref.empty() || h.ref.top().when > h.q.now();
+            const Tick limit =
+                h.q.now() + h.rng.nextBounded(3 * wheelHorizon);
+            EXPECT_EQ(h.q.runUntil(limit), limit);
+            ASSERT_TRUE(h.ref.empty() || h.ref.top().when > limit);
+            if (idle_before && !h.ref.empty())
+                ++rewinds;
+        } else if (kind < 99) {
+            h.checkSnapshot();
+            ++snapshots;
+        } else {
+            // Reset with non-trivial captures pending: every one must
+            // be released without running.
+            auto token = std::make_shared<int>(0);
+            for (int i = 0; i < 4; ++i)
+                h.q.schedule(h.q.now() + static_cast<Tick>(i) * wheelHorizon,
+                             [token] { ++*token; });
+            h.q.reset();
+            EXPECT_EQ(token.use_count(), 1);
+            EXPECT_EQ(*token, 0);
+            h.ref = {};
+            h.seq = 0;
+            ++resets;
+        }
+        ASSERT_EQ(h.q.pending(), h.ref.size());
+        ASSERT_EQ(h.q.seqCounter(), h.seq);
+    }
+    ASSERT_FALSE(h.failed);
+    h.q.runToCompletion();
+    ASSERT_FALSE(h.failed);
+    EXPECT_TRUE(h.ref.empty());
+    EXPECT_EQ(h.q.pending(), 0u);
+    EXPECT_EQ(h.q.overflowPending(), 0u);
+    // The run covered what it claims to.
+    EXPECT_GE(h.scheduleCalls + h.executed, 100000u);
+    for (const std::uint64_t uses : h.distanceUse)
+        EXPECT_GT(uses, 1000u);
+    EXPECT_GT(resets, 100u);
+    EXPECT_GT(snapshots, 100u);
+    EXPECT_GT(rewinds, 100u);
 }
 
 TEST(SboEvent, NonTrivialCapturesDestructOnce)

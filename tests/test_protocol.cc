@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the packet protocol: Table II flit arithmetic, raw-
- * byte accounting, effective-bandwidth math, CRC, and the tag pool.
+ * byte accounting, effective-bandwidth math, CRC (the portable Crc32
+ * and the packet-CRC kernel against it), and the tag pool.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +11,10 @@
 #include <set>
 
 #include "protocol/crc.hh"
+#include "protocol/fields.hh"
 #include "protocol/packet.hh"
 #include "protocol/tag_pool.hh"
+#include "sim/random.hh"
 
 namespace hmcsim
 {
@@ -177,6 +180,105 @@ TEST(Crc32, DetectsSingleBitFlipsInAFlit)
 TEST(Crc32, EmptyInput)
 {
     EXPECT_EQ(Crc32::compute(nullptr, 0), Crc32().value());
+}
+
+TEST(Crc32, FoldConstantsMatchPublishedValues)
+{
+    // For the IEEE polynomial the formulas must give the constants of
+    // the Linux crc32-pclmul kernel...
+    constexpr CrcFoldConstants ieee = crcFoldConstants(0x04C11DB7u);
+    EXPECT_EQ(ieee.r3, 0x1751997d0u);
+    EXPECT_EQ(ieee.r4, 0x0ccaa009eu);
+    EXPECT_EQ(ieee.r5, 0x163cd6124u);
+    EXPECT_EQ(ieee.p, 0x1db710641u);
+    EXPECT_EQ(ieee.u, 0x1f7011641u);
+    // ...and these for the HMC Koopman polynomial.
+    constexpr CrcFoldConstants hmc = crcFoldConstants(hmcCrcPolynomial);
+    EXPECT_EQ(hmc.r3, 0x7b4bc878u);
+    EXPECT_EQ(hmc.r4, 0x14b0602f8u);
+    EXPECT_EQ(hmc.r5, 0x18c5564cu);
+    EXPECT_EQ(hmc.p, 0x1d663b05du);
+    EXPECT_EQ(hmc.u, 0x17d232cdu);
+}
+
+// ---- Packet CRC -----------------------------------------------------
+
+/** packetCrc's definition fed through the portable Crc32: the header,
+ *  then payload/8 splitMix64 words seeded from the packet identity. */
+std::uint32_t
+referencePacketCrc(const Packet &pkt, std::uint64_t header_bits)
+{
+    Crc32 crc;
+    crc.update(&header_bits, sizeof(header_bits));
+    std::uint64_t state = pkt.id ^ (pkt.addr << 1);
+    for (Bytes i = 0; i < pkt.payload / 8; ++i) {
+        const std::uint64_t word = splitMix64(state);
+        crc.update(&word, sizeof(word));
+    }
+    return crc.value();
+}
+
+TEST(PacketCrc, MatchesCrc32ReferenceOnRandomPackets)
+{
+    // Every 8-byte step of payload (odd and even word counts take
+    // different block alignments in the folding kernel), with random
+    // identity and header bits.
+    Xoshiro256StarStar rng(2024);
+    std::size_t checked = 0;
+    for (Bytes payload = 0; payload <= 128; payload += 8) {
+        for (int i = 0; i < 6000; ++i) {
+            Packet pkt;
+            pkt.id = rng.next();
+            pkt.addr = rng.next();
+            pkt.payload = payload;
+            const std::uint64_t header = rng.next();
+            ASSERT_EQ(packetCrc(pkt, header), referencePacketCrc(pkt, header))
+                << "payload " << payload << " id " << pkt.id << " addr "
+                << pkt.addr << " header " << header;
+            ++checked;
+        }
+    }
+    EXPECT_GE(checked, 100000u);
+}
+
+TEST(PacketCrc, KnownAnswers)
+{
+    // Stamped CRCs of fixed packets: a change here changes every
+    // stamped packet, not just a kernel.
+    struct Case
+    {
+        std::uint64_t id;
+        Addr addr;
+        Bytes payload;
+        Command cmd;
+        std::uint64_t header;
+        std::uint32_t crc;
+    };
+    const Case cases[] = {
+        {0, 0, 0, Command::Read, 0x00000000000000afull, 0xaa4b38dau},
+        {1, 0x12345680, 16, Command::Read, 0x00091a2b400010b0ull,
+         0x8814da39u},
+        {42, 0x3FFFFFFF0, 64, Command::Write, 0x01fffffff802a28bull,
+         0x32e4f788u},
+        {0xDEADBEEF, 0x2A5A5A5A0, 128, Command::Write,
+         0x0152d2d2d06ef48full, 0x8790f6e2u},
+        {7, 0x100, 16, Command::Atomic, 0x0000000080007112ull, 0x58aad002u},
+        {123456789, 0x155555550, 32, Command::Read, 0x00aaaaaaa85150b1ull,
+         0xda586b45u},
+    };
+    for (const Case &c : cases) {
+        Packet pkt;
+        pkt.id = c.id;
+        pkt.addr = c.addr;
+        pkt.payload = c.payload;
+        pkt.cmd = c.cmd;
+        pkt.tag = static_cast<std::uint16_t>(c.id & 0x7FF);
+        const std::uint64_t header =
+            encodeRequestHeader(makeRequestHeader(pkt));
+        EXPECT_EQ(header, c.header) << "id " << c.id;
+        EXPECT_EQ(packetCrc(pkt, header), c.crc) << "id " << c.id;
+        EXPECT_EQ(referencePacketCrc(pkt, header), c.crc) << "id " << c.id;
+    }
 }
 
 // ---- Tag pool --------------------------------------------------------
