@@ -590,6 +590,9 @@ struct SimcoreResults
     double chainLegacyMs = 0.0;
     double chainCalendarMs = 0.0;
     std::uint64_t platformEvents = 0;
+    /** Requests completed in the platform window: the unit of work,
+     *  since the number of events a request costs is not fixed. */
+    std::uint64_t platformRequests = 0;
     double platformWallMs = 0.0;
     double platformSimUs = 0.0;
     double mapperDivmodMs = 0.0;
@@ -652,6 +655,13 @@ struct SimcoreResults
         return platformWallMs * 1e6 /
                static_cast<double>(platformEvents);
     }
+
+    double
+    platformNsPerRequest() const
+    {
+        return platformWallMs * 1e6 /
+               static_cast<double>(platformRequests);
+    }
 };
 
 const SimcoreResults &
@@ -693,6 +703,8 @@ results()
             module.start();
             module.runUntil(window);
             out.platformEvents = module.queue().executed();
+            const GupsPortStats agg = module.aggregateStats();
+            out.platformRequests = agg.readsCompleted + agg.writesCompleted;
         });
 
         // Model-path microbenches, min of 5 (short enough that the
@@ -909,12 +921,15 @@ printFigure()
                 r.forkSpeedup());
 
     std::printf("\nPlatform (fig06-style, 9-port ro, %.0f us sim): "
-                "%llu events in %.1f ms = %.1fM events/s "
-                "(%.1f ns/event; budget %.1f ms)\n\n",
+                "%llu events, %llu requests in %.1f ms = %.1fM "
+                "events/s (%.1f ns/event, %.1f ns/request; budget "
+                "%.1f ms)\n\n",
                 r.platformSimUs,
                 static_cast<unsigned long long>(r.platformEvents),
+                static_cast<unsigned long long>(r.platformRequests),
                 r.platformWallMs, r.platformEventsPerSec() / 1e6,
-                r.platformNsPerEvent(), platformBudgetMs());
+                r.platformNsPerEvent(), r.platformNsPerRequest(),
+                platformBudgetMs());
 }
 
 void
@@ -987,11 +1002,13 @@ writeJson()
     std::fprintf(
         f,
         "  \"platform\": {\"workload\": \"fig06-style 9-port ro "
-        "random 200us\", \"events\": %llu, \"wall_ms\": %.3f, "
-        "\"events_per_sec\": %.0f, \"ns_per_event\": %.2f},\n",
+        "random 200us\", \"events\": %llu, \"requests\": %llu, "
+        "\"wall_ms\": %.3f, \"events_per_sec\": %.0f, "
+        "\"ns_per_event\": %.2f, \"ns_per_request\": %.2f},\n",
         static_cast<unsigned long long>(r.platformEvents),
+        static_cast<unsigned long long>(r.platformRequests),
         r.platformWallMs, r.platformEventsPerSec(),
-        r.platformNsPerEvent());
+        r.platformNsPerEvent(), r.platformNsPerRequest());
     std::fprintf(f,
                  "  \"guard\": {\"speedup_budget\": 1.5, "
                  "\"steady_chain_speedup\": %.3f, "

@@ -102,6 +102,24 @@ GupsPort::scheduleIssue()
 void
 GupsPort::scheduleIssueAt(Tick earliest)
 {
+    // Closed loop: a reserved slot stands in for an issue event that
+    // would have found nothing to issue. Only a response or start()
+    // can change that, and both come through here: once the port can
+    // issue, the event goes into the slot, where it runs exactly as
+    // if it had been scheduled when the slot was taken. Once
+    // execution has passed the slot, the no-op it stood for has
+    // "run", and the port is free to schedule anew.
+    if (issueSlotEmpty) {
+        if (!queue.passed(issueSlot)) {
+            if (canIssue()) {
+                queue.schedule(issueSlot, IssueEvent{this});
+                issueSlotEmpty = false;
+            }
+            return;
+        }
+        issueSlotEmpty = false;
+        issuePending = false;
+    }
     // A stopped port generates nothing new, but dependent rw writes
     // whose reads already returned must still retire.
     if (issuePending || (!running && pendingRmwWrites.empty()))
@@ -109,7 +127,31 @@ GupsPort::scheduleIssueAt(Tick earliest)
     issuePending = true;
     const Tick when =
         nextIssueAllowed > earliest ? nextIssueAllowed : earliest;
+    if (cfg.arrivals == nullptr && !canIssue()) {
+        issueSlot = queue.reserve(when);
+        issueSlotEmpty = true;
+        return;
+    }
     queue.schedule(when, IssueEvent{this});
+}
+
+bool
+GupsPort::canIssue() const
+{
+    // Mirrors the closed-loop branches of issueOne().
+    if (!pendingRmwWrites.empty() && writeCredits > 0)
+        return true;
+    if (!running || budgetExhausted())
+        return false;
+    switch (cfg.mix) {
+      case RequestMix::ReadOnly:
+      case RequestMix::ReadModifyWrite:
+      case RequestMix::Atomic:
+        return tags.available();
+      case RequestMix::WriteOnly:
+        return writeCredits > 0;
+    }
+    return false;
 }
 
 void
@@ -130,6 +172,8 @@ GupsPort::restoreFrom(const GupsPort &src, SnapshotFixup &fixup)
     pendingRmwWrites = src.pendingRmwWrites;
     running = src.running;
     issuePending = src.issuePending;
+    issueSlot = src.issueSlot;
+    issueSlotEmpty = src.issueSlotEmpty;
     nextIssueAllowed = src.nextIssueAllowed;
     generatedOps = src.generatedOps;
     nextPacketId = src.nextPacketId;
@@ -385,6 +429,19 @@ GupsPort::onResponse(const Packet &pkt)
     if (cfg.tracer)
         cfg.tracer->record(pkt);
 
+    // Closed loop: with nothing else pending at this tick, the issue
+    // event scheduleIssue() would put at (now, fresh seq) is the next
+    // event to run, so run its body here. It still takes its seq, so
+    // every later event gets the seq it would have had.
+    if (cfg.arrivals == nullptr && nextIssueAllowed <= queue.now() &&
+        (running || !pendingRmwWrites.empty()) &&
+        (!issuePending || (issueSlotEmpty && queue.passed(issueSlot))) &&
+        queue.nothingPendingNow()) {
+        issueSlotEmpty = false;
+        queue.reserve(queue.now());
+        issueOne();
+        return;
+    }
     scheduleIssue();
 }
 

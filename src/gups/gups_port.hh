@@ -194,6 +194,14 @@ class GupsPort
     }
     const GupsPortConfig &config() const { return cfg; }
 
+    /** True while the port holds a reserved, still-empty issue slot
+     *  that execution has not yet passed (closed loop only). */
+    bool
+    holdsReservedIssueSlot() const
+    {
+        return issueSlotEmpty && !queue.passed(issueSlot);
+    }
+
     /** The port's one self-scheduled event, named (instead of an
      *  inline lambda) so simulator fork can recognize it by invoke
      *  thunk and relocate its pointer (sim/snapshot.hh). */
@@ -231,6 +239,9 @@ class GupsPort
      *  port is running and has work. */
     void issueOne();
 
+    /** True when issueOne() would issue now (closed loop). */
+    bool canIssue() const;
+
     /** Pop the next generated address, refilling the window when it
      *  runs dry (RNG consumed in the same order as per-call next()). */
     Addr
@@ -263,7 +274,13 @@ class GupsPort
     /** Writes waiting to be issued after their read returned (rw). */
     std::deque<Addr> pendingRmwWrites;
     bool running = false;
+    /** An issue event is scheduled, or its slot is reserved. */
     bool issuePending = false;
+    /** Closed loop: the pending issue is only a reserved slot, taken
+     *  where the event would have gone while the port could not
+     *  issue (scheduleIssueAt). */
+    bool issueSlotEmpty = false;
+    EventQueue::Slot issueSlot{};
     Tick nextIssueAllowed = 0;
     std::uint64_t generatedOps = 0;
     std::uint64_t nextPacketId;

@@ -131,17 +131,12 @@ makeRequestHeader(const Packet &pkt, std::uint8_t cub)
     return header;
 }
 
-namespace
-{
-
-/**
- * The packet CRC through the portable Crc32: the encoded header, then
- * payload/8 words of a deterministic pseudo-payload derived from the
- * packet identity (distinct packets get distinct protected bytes).
- */
 std::uint32_t
 packetCrcPortable(const Packet &pkt, std::uint64_t header_bits)
 {
+    // The encoded header, then payload/8 words of a deterministic
+    // pseudo-payload derived from the packet identity (distinct
+    // packets get distinct protected bytes).
     Crc32 crc;
     crc.update(&header_bits, sizeof(header_bits));
     std::uint64_t state = pkt.id ^ (pkt.addr << 1);
@@ -153,6 +148,9 @@ packetCrcPortable(const Packet &pkt, std::uint64_t header_bits)
     }
     return crc.value();
 }
+
+namespace
+{
 
 #ifdef HMCSIM_HAVE_CLMUL_KERNEL
 

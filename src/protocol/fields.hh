@@ -99,6 +99,13 @@ RequestHeader makeRequestHeader(const Packet &pkt, std::uint8_t cub = 0);
  */
 std::uint32_t packetCrc(const Packet &pkt, std::uint64_t header_bits);
 
+/**
+ * packetCrc through the portable slicing-by-8 Crc32: the path
+ * packetCrc takes on hosts without carry-less multiply. Exposed so
+ * tests run it on every host.
+ */
+std::uint32_t packetCrcPortable(const Packet &pkt, std::uint64_t header_bits);
+
 } // namespace hmcsim
 
 #endif // HMCSIM_PROTOCOL_FIELDS_HH

@@ -58,18 +58,9 @@ EventQueue::acquireNode()
 }
 
 void
-EventQueue::schedule(Tick when, Event ev)
+EventQueue::insert(Tick when, std::uint64_t seq, Event &&ev)
 {
-    // Stays a release-build check: a past-tick schedule means the
-    // calendar is already corrupt, and the cost was audited into the
-    // PR-4 event-core budget (docs/performance.md).
-    // lint:allow(hot-check)
-    HMCSIM_CHECK(when >= _now,
-                 "scheduling event in the past (when=%llu now=%llu)",
-                 static_cast<unsigned long long>(when),
-                 static_cast<unsigned long long>(_now));
     const NodeId id = acquireNode();
-    const std::uint64_t seq = nextSeq++;
     eventOf(id) = std::move(ev);
     nodes[id].when = when;
     nodes[id].seq = seq;
@@ -82,13 +73,15 @@ EventQueue::schedule(Tick when, Event ev)
     }
     const Key key{when, seq, id};
     if (abs == cursorBucket) {
-        // Into the bucket being drained: sorted insert among the
-        // not-yet-fired keys. Inserting by `when` alone keeps FIFO
-        // for equal ticks because this key carries the largest seq.
+        // Into the bucket being drained: sorted insert by (when, seq)
+        // among the not-yet-fired keys. A fresh seq is the largest,
+        // so it lands after every key at its tick; a reserved slot's
+        // seq can sort before some of them.
         const auto pos = std::upper_bound(
             current.begin() + static_cast<std::ptrdiff_t>(drainIdx),
-            current.end(), when,
-            [](Tick w, const Key &k) { return w < k.when; });
+            current.end(), key, [](const Key &a, const Key &b) {
+                return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+            });
         current.insert(pos, key);
         return;
     }
@@ -237,7 +230,7 @@ EventQueue::peekNext()
             heads[slot] = later;
             if (later == noNode)
                 clearOccupied(slot);
-            if (!current.empty()) {
+            if (current.size() > 1) {
                 // The list is newest-first; reversed it is in schedule
                 // order, which the sort by (when, seq) mostly keeps.
                 // std::sort is in-place -- stable_sort would
@@ -250,8 +243,9 @@ EventQueue::peekNext()
                                   return a.when < b.when;
                               return a.seq < b.seq;
                           });
-                continue;
             }
+            if (!current.empty())
+                continue;
         }
 
         // Jump the cursor straight to the next bucket holding work --
@@ -282,6 +276,7 @@ EventQueue::executeNext()
                   static_cast<unsigned long long>(key.when),
                   static_cast<unsigned long long>(_now));
     _now = key.when;
+    doneSeq = key.seq + 1;
     check_detail::setCurrentTick(_now);
     ++numExecuted;
     // The event runs in its slab slot: chunks never move, so the
@@ -318,6 +313,10 @@ EventQueue::runUntil(Tick limit)
     }
     if (_now < limit)
         _now = limit;
+    // Everything at or before the limit ran, so every slot at now()
+    // has passed. (A limit below now() leaves the position as is.)
+    if (_now == limit)
+        doneSeq = nextSeq;
     runCheckers();
     return _now;
 }
@@ -327,6 +326,7 @@ EventQueue::runToCompletion()
 {
     while (step()) {
     }
+    doneSeq = nextSeq;
     runCheckers();
 }
 
@@ -381,16 +381,21 @@ EventQueue::pendingSnapshot() const
 }
 
 void
-EventQueue::restoreBegin(Tick now)
+EventQueue::restoreBegin(Tick now, std::uint64_t next_seq,
+                         std::uint64_t done_seq)
 {
-    // Restore-time API validation, not per-event work.
+    // Restore-time API validation, not per-event work. A queue that
+    // handed out seqs (even only reserved ones) would reissue them.
     // lint:allow(hot-check)
-    HMCSIM_CHECK(numPending == 0 && numExecuted == 0,
+    HMCSIM_CHECK(numPending == 0 && numExecuted == 0 && nextSeq == 0,
                  "snapshot restore requires a fresh queue "
-                 "(pending=%llu executed=%llu)",
+                 "(pending=%llu executed=%llu seq=%llu)",
                  static_cast<unsigned long long>(numPending),
-                 static_cast<unsigned long long>(numExecuted));
+                 static_cast<unsigned long long>(numExecuted),
+                 static_cast<unsigned long long>(nextSeq));
     _now = now;
+    nextSeq = next_seq;
+    doneSeq = done_seq;
     // Without this the cursor would lap-walk from bucket zero and
     // every near-future entry would detour through the overflow
     // ladder; placing it on now()'s bucket reproduces the source
@@ -399,17 +404,9 @@ EventQueue::restoreBegin(Tick now)
 }
 
 void
-EventQueue::restoreFinish(std::uint64_t next_seq,
-                          std::uint64_t num_executed,
+EventQueue::restoreFinish(std::uint64_t num_executed,
                           std::uint64_t events_since_check)
 {
-    // lint:allow(hot-check)
-    HMCSIM_CHECK(next_seq >= nextSeq,
-                 "restored seq counter would reissue seqs "
-                 "(restore=%llu local=%llu)",
-                 static_cast<unsigned long long>(next_seq),
-                 static_cast<unsigned long long>(nextSeq));
-    nextSeq = next_seq;
     numExecuted = num_executed;
     eventsSinceCheck = events_since_check;
 }
@@ -442,6 +439,7 @@ EventQueue::reset()
     numPending = 0;
     _now = 0;
     nextSeq = 0;
+    doneSeq = 0;
     numExecuted = 0;
     eventsSinceCheck = 0;
 }

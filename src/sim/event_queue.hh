@@ -48,6 +48,7 @@
 #include <memory>
 #include <vector>
 
+#include "sim/check.hh"
 #include "sim/event.hh"
 #include "sim/types.hh"
 
@@ -101,12 +102,77 @@ class EventQueue
      * @param ev Callback to run (any callable fitting the Event
      *        inline-capture budget, see sim/event.hh).
      */
-    void schedule(Tick when, Event ev);
+    void
+    schedule(Tick when, Event &&ev)
+    {
+        checkNotPast(when);
+        insert(when, nextSeq++, std::move(ev));
+    }
 
     /** Schedule a callback @p delta ticks in the future. */
-    void scheduleIn(Tick delta, Event ev)
+    void scheduleIn(Tick delta, Event &&ev)
     {
         schedule(_now + delta, std::move(ev));
+    }
+
+    /** A place in the (when, seq) execution order. */
+    struct Slot
+    {
+        Tick when;
+        std::uint64_t seq;
+    };
+
+    /**
+     * Take the place schedule(@p when, ...) would take now -- the
+     * same seq -- without storing anything. A later schedule(Slot,
+     * ...) puts an event exactly there, so it runs where an event
+     * scheduled now would have run. A slot never filled costs
+     * nothing.
+     */
+    Slot
+    reserve(Tick when)
+    {
+        checkNotPast(when);
+        return {when, nextSeq++};
+    }
+
+    /** Schedule a callback into a reserved slot (or a snapshot
+     *  source's (when, seq)); the slot must not have passed. */
+    void
+    schedule(Slot slot, Event &&ev)
+    {
+        checkNotPast(slot.when);
+        HMCSIM_DCHECK(!passed(slot) && slot.seq < nextSeq,
+                      "scheduling into a passed or unissued slot "
+                      "(when=%llu seq=%llu)",
+                      static_cast<unsigned long long>(slot.when),
+                      static_cast<unsigned long long>(slot.seq));
+        insert(slot.when, slot.seq, std::move(ev));
+    }
+
+    /** True once execution has moved past @p slot: an event there
+     *  would already have run. */
+    bool
+    passed(Slot slot) const
+    {
+        return slot.when < _now ||
+               (slot.when == _now && slot.seq < doneSeq);
+    }
+
+    /**
+     * True when no event is pending at now(), so an event scheduled
+     * at now() with a fresh seq would run next. O(1): pending events
+     * at now() sit at the drain point of the cursor's bucket, where
+     * the cursor always is while an event runs. Outside an event the
+     * cursor may be elsewhere; the answer is then a conservative
+     * false.
+     */
+    bool
+    nothingPendingNow() const
+    {
+        return cursorBucket == bucketOf(_now) &&
+               (drainIdx == current.size() ||
+                current[drainIdx].when != _now);
     }
 
     /**
@@ -143,12 +209,12 @@ class EventQueue
 
     // --- Snapshot/fork support (sim/snapshot.hh) -------------------
     //
-    // A forked simulator rebuilds its queue by re-scheduling clones of
-    // the source's pending events in ascending original-seq order:
-    // relative (when, seq) order among the clones then matches the
-    // source exactly, and restoreFinish() bumps the seq counter past
-    // the source's so later schedules sort after every restored entry,
-    // exactly as they would have in the source.
+    // A forked simulator adopts the source's clock, seq counter and
+    // execution position (restoreBegin), then schedules a clone of
+    // each of the source's pending events into the source's own
+    // (when, seq) slot. The fork's order is then the source's
+    // exactly, and so is passed() -- a slot a component reserved in
+    // the source stays valid in the fork.
 
     /** Read-only view of one pending entry. */
     struct PendingView
@@ -165,20 +231,26 @@ class EventQueue
     /** The seq the next scheduled event will receive. */
     std::uint64_t seqCounter() const { return nextSeq; }
 
+    /** Slots at now() with a seq below this have passed. */
+    std::uint64_t doneSeqBound() const { return doneSeq; }
+
     /** Events executed since the checkers last ran. */
     std::uint64_t eventsSinceCheckCount() const { return eventsSinceCheck; }
 
     /**
      * Prepare an empty queue for restoring a snapshot taken at
-     * @p now: sets the clock and places the calendar cursor on the
-     * matching bucket so re-scheduled entries land exactly where the
-     * source's calendar held them. Fatal if the queue is not empty.
+     * @p now: adopts the source's clock, seq counter (@p next_seq)
+     * and execution position (@p done_seq, its doneSeqBound()), and
+     * places the calendar cursor on the matching bucket so
+     * re-scheduled entries land exactly where the source's calendar
+     * held them. Fatal if the queue is not fresh.
      */
-    void restoreBegin(Tick now);
+    void restoreBegin(Tick now, std::uint64_t next_seq,
+                      std::uint64_t done_seq);
 
-    /** Adopt the source queue's counters after re-scheduling its
-     *  pending entries (see restoreBegin). */
-    void restoreFinish(std::uint64_t next_seq, std::uint64_t num_executed,
+    /** Adopt the source queue's event counters after re-scheduling
+     *  its pending entries (see restoreBegin). */
+    void restoreFinish(std::uint64_t num_executed,
                        std::uint64_t events_since_check);
 
   private:
@@ -210,6 +282,23 @@ class EventQueue
 
     /** Run attached checkers at a drain point. */
     void runCheckers();
+
+    void
+    checkNotPast(Tick when) const
+    {
+        // Stays a release-build check: a past-tick schedule means the
+        // calendar is already corrupt, and the cost was audited into
+        // the PR-4 event-core budget (docs/performance.md).
+        // lint:allow(hot-check)
+        HMCSIM_CHECK(when >= _now,
+                     "scheduling event in the past (when=%llu now=%llu)",
+                     static_cast<unsigned long long>(when),
+                     static_cast<unsigned long long>(_now));
+    }
+
+    /** Store @p ev at (@p when, @p seq), the one insertion routine
+     *  behind both schedule() overloads. */
+    void insert(Tick when, std::uint64_t seq, Event &&ev);
 
     /** Pop the next key (already located by peekNext) and execute it
      *  at its tick (shared by step/runUntil). */
@@ -360,6 +449,11 @@ class EventQueue
 
     Tick _now = 0;
     std::uint64_t nextSeq = 0;
+    /** Execution position within now(): every (now(), seq) with seq
+     *  below this has run. executeNext() sets it to the running
+     *  event's seq + 1; a runUntil() that reaches its limit sets it
+     *  to nextSeq, since nothing at or before now() is left. */
+    std::uint64_t doneSeq = 0;
     std::uint64_t numExecuted = 0;
     CheckerRegistry *checkerRegistry = nullptr;
     std::uint64_t checkEveryN = 1;

@@ -8,7 +8,7 @@ cloneEventQueue(const EventQueue &src, EventQueue &dst,
                 const SnapshotFixup &fixup,
                 const std::vector<EventRelocator> &relocators)
 {
-    dst.restoreBegin(src.now());
+    dst.restoreBegin(src.now(), src.seqCounter(), src.doneSeqBound());
     for (const auto &view : src.pendingSnapshot()) {
         HMCSIM_CHECK(view.ev->trivialCapture(),
                      "snapshot fork: pending event holds a non-trivial "
@@ -31,11 +31,10 @@ cloneEventQueue(const EventQueue &src, EventQueue &dst,
         alignas(eventInlineAlign) unsigned char capture[eventInlineBytes];
         std::memcpy(capture, view.ev->captureBytes(), eventInlineBytes);
         handler->relocate(capture, fixup);
-        dst.schedule(view.when,
+        dst.schedule(EventQueue::Slot{view.when, view.seq},
                      Event::fromCaptureImage(handler->invoke, capture));
     }
-    dst.restoreFinish(src.seqCounter(), src.executed(),
-                      src.eventsSinceCheckCount());
+    dst.restoreFinish(src.executed(), src.eventsSinceCheckCount());
 }
 
 } // namespace hmcsim

@@ -137,9 +137,10 @@ makeEventRelocator(const char *name)
 
 /**
  * Re-create every pending event of @p src inside @p dst (which must
- * be freshly constructed). Clones are scheduled in ascending
- * original-seq order and the source's counters are adopted, so the
- * forked queue executes the identical (when, seq) order. Fatal on an
+ * be freshly constructed). Each clone is scheduled at its source
+ * (when, seq) and the source's counters and execution position are
+ * adopted, so the forked queue executes the identical (when, seq)
+ * order and a slot reserved in the source stays valid. Fatal on an
  * event type missing from @p relocators or on a non-trivial capture.
  */
 void cloneEventQueue(const EventQueue &src, EventQueue &dst,

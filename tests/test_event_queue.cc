@@ -3,10 +3,11 @@
  * Tests for the calendar event queue and the allocation-free event
  * core (docs/performance.md): same-tick FIFO within and across the
  * wheel/overflow boundary, runUntil boundary semantics, reset,
- * checker drain-point cadence, far-future overflow migration, a
- * differential run against a reference binary heap, Event
- * small-buffer semantics, packet-pool reuse, and an
- * allocation-counting guard over the steady-state scheduling path.
+ * checker drain-point cadence, far-future overflow migration,
+ * reserved slots (reserve / schedule(Slot) / passed /
+ * nothingPendingNow), a differential run against a reference binary
+ * heap, Event small-buffer semantics, packet-pool reuse, and
+ * allocation-counting guards over the steady-state scheduling paths.
  */
 
 #include <gtest/gtest.h>
@@ -265,6 +266,11 @@ TEST(CalendarQueue, StepExecutesOneEventAtATime)
  * Differential harness: drives an EventQueue and a reference
  * std::priority_queue on (when, seq) with the same operations, and
  * checks every fired event against the reference's top.
+ *
+ * Reserved slots ride along as "ghost" reference entries: a ghost
+ * passes when a real event ordered after it fires, or when a
+ * runUntil() reaches its tick. That is an independent model of
+ * EventQueue::passed(), and a fill turns the ghost into a real entry.
  */
 class QueueDifferential
 {
@@ -299,14 +305,37 @@ class QueueDifferential
         void operator()() const { h->fired(id); }
     };
 
+    /** What a reference entry (by id) stands for. */
+    enum class Kind : std::uint8_t
+    {
+        Real,
+        Ghost,       ///< reserved slot, not yet passed
+        GhostPassed, ///< reserved slot execution has moved past
+    };
+
+    /** A reserved slot not yet filled or dropped. */
+    struct Open
+    {
+        EventQueue::Slot slot;
+        std::uint64_t id;
+        std::uint64_t epoch; ///< runUntil() calls before the reserve
+    };
+
     EventQueue q;
     RefQueue ref;
     Xoshiro256StarStar rng{20241017};
-    std::uint64_t nextId = 0;
+    std::vector<Kind> kinds;
+    std::vector<Open> open;
+    std::size_t refReal = 0;
     std::uint64_t seq = 0;
+    std::uint64_t epoch = 0;
     std::uint64_t executed = 0;
     std::uint64_t scheduleCalls = 0;
     std::uint64_t distanceUse[5] = {};
+    std::uint64_t fillsAtNow = 0;
+    std::uint64_t fillsAcrossRunUntil = 0;
+    std::uint64_t passedSeen[2] = {};
+    std::uint64_t nothingNowSeen[2] = {};
     bool failed = false;
 
     /** A scheduling distance from one of five classes: zero, inside
@@ -334,41 +363,144 @@ class QueueDifferential
         }
     }
 
+    std::uint64_t
+    newId(Kind kind)
+    {
+        kinds.push_back(kind);
+        return kinds.size() - 1;
+    }
+
     void
     scheduleOne()
     {
         const Tick when = q.now() + distance();
-        const std::uint64_t id = nextId++;
+        const std::uint64_t id = newId(Kind::Real);
         if (q.seqCounter() != seq)
             failed = true;
         q.schedule(when, Fire{this, id});
         ref.push({when, seq++, id});
+        ++refReal;
         ++scheduleCalls;
+    }
+
+    /** Reserve a slot, at now() half of the time so fills land inside
+     *  the draining bucket. */
+    void
+    reserveOne()
+    {
+        const Tick when = q.now() + (rng.nextBounded(2) ? 0 : distance());
+        const EventQueue::Slot slot = q.reserve(when);
+        if (slot.when != when || slot.seq != seq)
+            failed = true;
+        const std::uint64_t id = newId(Kind::Ghost);
+        ref.push({when, seq++, id});
+        open.push_back({slot, id, epoch});
+    }
+
+    /** Check passed() on a random open slot, then fill it (or drop
+     *  it, once passed). */
+    void
+    fillOne()
+    {
+        if (open.empty())
+            return;
+        const std::size_t i = rng.nextBounded(open.size());
+        const Open o = open[i];
+        open[i] = open.back();
+        open.pop_back();
+        const bool passed = kinds[o.id] == Kind::GhostPassed;
+        ++passedSeen[passed];
+        if (q.passed(o.slot) != passed) {
+            failed = true;
+            return;
+        }
+        if (passed)
+            return;
+        if (o.slot.when == q.now())
+            ++fillsAtNow;
+        if (o.epoch != epoch)
+            ++fillsAcrossRunUntil;
+        q.schedule(o.slot, Fire{this, o.id});
+        kinds[o.id] = Kind::Real;
+        ++refReal;
+    }
+
+    /** Ghosts at the reference's top sort before anything still to
+     *  run: they pass. With @p limit, so do ghosts at or before it. */
+    void
+    passGhosts(Tick limit)
+    {
+        while (!ref.empty() && kinds[ref.top().id] != Kind::Real &&
+               ref.top().when <= limit) {
+            kinds[ref.top().id] = Kind::GhostPassed;
+            ref.pop();
+        }
+    }
+
+    /** True when the reference holds no real entry at now(). */
+    bool
+    refNothingNow() const
+    {
+        for (const Ref &r : ref.c)
+            if (kinds[r.id] == Kind::Real && r.when == q.now())
+                return false;
+        return true;
     }
 
     void
     fired(std::uint64_t id)
     {
         ++executed;
+        passGhosts(maxTick);
         if (ref.empty() || ref.top().id != id ||
             ref.top().when != q.now()) {
             failed = true;
             return;
         }
         ref.pop();
-        // Callbacks schedule too, like every model pipeline stage.
-        // Mean 0.7 children keeps the depth bounded.
+        --refReal;
+        // Inside a callback the cursor sits on now()'s bucket, so
+        // nothingPendingNow() must be exact.
+        if (rng.nextBounded(4) == 0) {
+            const bool none = refNothingNow();
+            ++nothingNowSeen[none];
+            if (q.nothingPendingNow() != none)
+                failed = true;
+        }
+        // Callbacks schedule, reserve and fill too, like every model
+        // pipeline stage. Mean ~0.75 new events keeps the depth
+        // bounded.
         const std::uint64_t draw = rng.nextBounded(10);
         const int children = draw < 4 ? 0 : draw < 9 ? 1 : 2;
-        for (int i = 0; i < children; ++i)
-            scheduleOne();
+        for (int i = 0; i < children; ++i) {
+            if (rng.nextBounded(5) == 0)
+                reserveOne();
+            else
+                scheduleOne();
+        }
+        if (rng.nextBounded(5) == 0)
+            fillOne();
+    }
+
+    /** The harness's runUntil(): the reference passes every ghost at
+     *  or before the limit. */
+    Tick
+    runUntil(Tick limit)
+    {
+        const Tick stopped = q.runUntil(limit);
+        passGhosts(limit);
+        ++epoch;
+        return stopped;
     }
 
     /** Compare pendingSnapshot() with the reference, in seq order. */
     void
     checkSnapshot()
     {
-        std::vector<Ref> want = ref.c;
+        std::vector<Ref> want;
+        for (const Ref &r : ref.c)
+            if (kinds[r.id] == Kind::Real)
+                want.push_back(r);
         std::sort(want.begin(), want.end(),
                   [](const Ref &a, const Ref &b) { return a.seq < b.seq; });
         const auto views = q.pendingSnapshot();
@@ -394,20 +526,32 @@ TEST(CalendarQueue, MatchesReferenceHeapUnderRandomOperations)
     std::uint64_t rewinds = 0;
     for (int op = 0; op < 120000 && !h.failed; ++op) {
         const std::uint64_t kind = h.rng.nextBounded(100);
-        if (kind < 55) {
+        if (kind < 45) {
             h.scheduleOne();
+        } else if (kind < 50) {
+            h.reserveOne();
+        } else if (kind < 55) {
+            h.fillOne();
         } else if (kind < 80) {
-            const bool any = !h.ref.empty();
+            const bool any = h.refReal > 0;
             EXPECT_EQ(h.q.step(), any);
         } else if (kind < 97) {
             // A runUntil slice, often ending in an idle gap: the peek
             // past the limit runs the cursor ahead, and the next near
             // schedule has to pull it back.
+            h.passGhosts(h.q.now());
             const bool idle_before =
                 h.ref.empty() || h.ref.top().when > h.q.now();
-            const Tick limit =
-                h.q.now() + h.rng.nextBounded(3 * wheelHorizon);
-            EXPECT_EQ(h.q.runUntil(limit), limit);
+            Tick limit = h.q.now() + h.rng.nextBounded(3 * wheelHorizon);
+            // Some slices end exactly on an open slot's tick, which
+            // the runUntil() then passes.
+            if (!h.open.empty() && h.rng.nextBounded(4) == 0) {
+                const Tick at =
+                    h.open[h.rng.nextBounded(h.open.size())].slot.when;
+                if (at >= h.q.now())
+                    limit = at;
+            }
+            EXPECT_EQ(h.runUntil(limit), limit);
             ASSERT_TRUE(h.ref.empty() || h.ref.top().when > limit);
             if (idle_before && !h.ref.empty())
                 ++rewinds;
@@ -425,18 +569,28 @@ TEST(CalendarQueue, MatchesReferenceHeapUnderRandomOperations)
             EXPECT_EQ(token.use_count(), 1);
             EXPECT_EQ(*token, 0);
             h.ref = {};
+            h.refReal = 0;
+            h.open.clear();
             h.seq = 0;
             ++resets;
         }
-        ASSERT_EQ(h.q.pending(), h.ref.size());
+        // Outside a callback nothingPendingNow() may answer a
+        // conservative false, but never a wrong true.
+        if (h.q.nothingPendingNow()) {
+            ASSERT_TRUE(h.refNothingNow());
+        }
+        ASSERT_EQ(h.q.pending(), h.refReal);
         ASSERT_EQ(h.q.seqCounter(), h.seq);
     }
     ASSERT_FALSE(h.failed);
     h.q.runToCompletion();
     ASSERT_FALSE(h.failed);
-    EXPECT_TRUE(h.ref.empty());
+    EXPECT_EQ(h.refReal, 0u);
     EXPECT_EQ(h.q.pending(), 0u);
     EXPECT_EQ(h.q.overflowPending(), 0u);
+    // Once the queue ran dry, every open slot has passed.
+    for (const QueueDifferential::Open &o : h.open)
+        EXPECT_TRUE(h.q.passed(o.slot));
     // The run covered what it claims to.
     EXPECT_GE(h.scheduleCalls + h.executed, 100000u);
     for (const std::uint64_t uses : h.distanceUse)
@@ -444,6 +598,85 @@ TEST(CalendarQueue, MatchesReferenceHeapUnderRandomOperations)
     EXPECT_GT(resets, 100u);
     EXPECT_GT(snapshots, 100u);
     EXPECT_GT(rewinds, 100u);
+    EXPECT_GT(h.fillsAtNow, 500u);
+    EXPECT_GT(h.fillsAcrossRunUntil, 300u);
+    EXPECT_GT(h.passedSeen[0], 1000u);
+    EXPECT_GT(h.passedSeen[1], 1000u);
+    EXPECT_GT(h.nothingNowSeen[0], 500u);
+    EXPECT_GT(h.nothingNowSeen[1], 1000u);
+}
+
+TEST(CalendarQueue, ReservedSlotRunsWhereItWasReserved)
+{
+    EventQueue q;
+    std::vector<int> order;
+    // Reserve between two same-tick events, fill after the second was
+    // scheduled: the fill sorts between them.
+    q.schedule(100, [&order] { order.push_back(0); });
+    const EventQueue::Slot slot = q.reserve(100);
+    q.schedule(100, [&order] { order.push_back(2); });
+    EXPECT_FALSE(q.passed(slot));
+    q.schedule(slot, [&order] { order.push_back(1); });
+    q.runToCompletion();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_TRUE(q.passed(slot));
+}
+
+TEST(CalendarQueue, ReservedSlotAtNowFillsInsideDrainingBucket)
+{
+    EventQueue q;
+    std::vector<int> order;
+    EventQueue::Slot slot{};
+    // At tick 50: event A reserves (50, s), then B is scheduled at 50.
+    // B fires after A; when A's sibling C (scheduled before the
+    // reserve) fills the slot, it must run before B.
+    q.schedule(50, [&] {
+        order.push_back(0);
+        q.schedule(50, [&] {
+            order.push_back(1);
+            EXPECT_FALSE(q.passed(slot));
+            EXPECT_FALSE(q.nothingPendingNow());
+            q.schedule(slot, [&] {
+                order.push_back(2);
+                EXPECT_TRUE(q.passed(slot));
+            });
+        });
+        slot = q.reserve(50);
+        q.schedule(50, [&] {
+            order.push_back(3);
+            EXPECT_TRUE(q.nothingPendingNow());
+        });
+    });
+    q.runToCompletion();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(CalendarQueue, PassedFollowsRunUntilAndStep)
+{
+    EventQueue q;
+    q.schedule(10, [] {});
+    q.schedule(20, [] {});
+    const EventQueue::Slot before = q.reserve(10);
+    const EventQueue::Slot at = q.reserve(20);
+    const EventQueue::Slot later = q.reserve(30);
+    ASSERT_TRUE(q.step()); // the event at 10 ran; `before` sorts after it
+    EXPECT_FALSE(q.passed(before));
+    q.runUntil(15); // everything at or before 15 has run
+    EXPECT_TRUE(q.passed(before));
+    EXPECT_FALSE(q.passed(at));
+    q.runUntil(20);
+    EXPECT_TRUE(q.passed(at));
+    EXPECT_FALSE(q.passed(later));
+    // A slot reserved at now() after the run is still ahead.
+    const EventQueue::Slot fresh = q.reserve(20);
+    EXPECT_FALSE(q.passed(fresh));
+    int fired = 0;
+    q.schedule(fresh, [&fired] { ++fired; });
+    q.schedule(later, [&fired] { ++fired; });
+    q.runToCompletion();
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(q.now(), 30u);
+    EXPECT_TRUE(q.passed(later));
 }
 
 TEST(SboEvent, NonTrivialCapturesDestructOnce)
@@ -568,6 +801,54 @@ TEST(AllocationGuard, SteadyStateEventLoopIsAllocationFree)
     const std::size_t during = g_allocations - before;
     EXPECT_GE(executed, 2 * warmed - 64);
     EXPECT_EQ(during, 0u);
+}
+
+/** A chain link that reserves its next firing @p period out and
+ *  has a same-tick ReservedFill put the event into the slot. */
+struct ReservedChain
+{
+    EventQueue *q;
+    std::uint64_t *executed;
+    Tick period;
+
+    void operator()() const;
+};
+
+struct ReservedFill
+{
+    EventQueue *q;
+    EventQueue::Slot slot;
+    ReservedChain chain;
+
+    void operator()() const { q->schedule(slot, ReservedChain{chain}); }
+};
+
+void
+ReservedChain::operator()() const
+{
+    ++*executed;
+    q->scheduleIn(0, ReservedFill{q, q->reserve(q->now() + period), *this});
+}
+
+TEST(AllocationGuard, ReservedSlotsAreAllocationFree)
+{
+    EventQueue q;
+    // 64 chains whose every firing goes through reserve(), a
+    // same-tick sorted insert into the draining bucket, and
+    // schedule(Slot) into the wheel.
+    std::uint64_t executed = 0;
+    for (int i = 0; i < 64; ++i)
+        q.schedule(static_cast<Tick>(i),
+                   ReservedChain{&q, &executed,
+                                 3 * EventQueue::bucketTicks + Tick(i)});
+    q.runUntil(2 * wheelHorizon);
+    const std::uint64_t warmed = executed;
+    ASSERT_GT(warmed, 100000u);
+
+    const std::size_t before = g_allocations;
+    q.runUntil(4 * wheelHorizon);
+    EXPECT_GE(executed, 2 * warmed - 64);
+    EXPECT_EQ(g_allocations - before, 0u);
 }
 
 TEST(AllocationGuard, PoolAcquireReleaseCycleIsAllocationFree)

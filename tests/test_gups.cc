@@ -391,6 +391,42 @@ TEST(GupsPort, StopPreventsFurtherIssues)
     EXPECT_EQ(h.submitted.size(), n); // response did not restart it
 }
 
+TEST(GupsPort, BlockedPortReservesAndReissuesInOrder)
+{
+    // A port that cannot issue queues no issue event, only a reserved
+    // slot that passes unused.
+    PortHarness h(portCfg(RequestMix::ReadOnly, 1));
+    h.port->start();
+    ASSERT_TRUE(h.queue.step()); // the first issue takes the one tag
+    ASSERT_EQ(h.submitted.size(), 1u);
+    EXPECT_TRUE(std::as_const(*h.port).holdsReservedIssueSlot());
+    EXPECT_EQ(h.queue.pending(), 0u);
+    h.queue.runUntil(10 * tickUs);
+    EXPECT_FALSE(std::as_const(*h.port).holdsReservedIssueSlot());
+
+    // A response at tick t re-issues where an issue event scheduled
+    // at (t, fresh seq) would run: after every event already pending
+    // at t, and inline (before the response handler returns) only
+    // when no such event exists.
+
+    const Tick t = 20 * tickUs;
+    std::size_t at_marker = 0;
+    h.queue.schedule(t, [&h] { h.respond(0); });
+    h.queue.schedule(t, [&h, &at_marker] { at_marker = h.submitted.size(); });
+    h.queue.runUntil(t);
+    EXPECT_EQ(at_marker, 1u);
+    ASSERT_EQ(h.submitted.size(), 2u);
+
+    std::size_t after_respond = 0;
+    h.queue.schedule(2 * t, [&h, &after_respond] {
+        h.respond(1);
+        after_respond = h.submitted.size();
+    });
+    h.queue.runUntil(2 * t);
+    EXPECT_EQ(after_respond, 3u);
+    EXPECT_EQ(h.submitted[2].tIssued, 2 * t);
+}
+
 TEST(GupsPort, PortsUseTheirAssignedLink)
 {
     for (unsigned id : {0u, 4u, 5u, 8u}) {

@@ -222,7 +222,8 @@ TEST(PacketCrc, MatchesCrc32ReferenceOnRandomPackets)
 {
     // Every 8-byte step of payload (odd and even word counts take
     // different block alignments in the folding kernel), with random
-    // identity and header bits.
+    // identity and header bits, through the dispatched kernel and
+    // through the portable slicing-by-8 path it falls back to.
     Xoshiro256StarStar rng(2024);
     std::size_t checked = 0;
     for (Bytes payload = 0; payload <= 128; payload += 8) {
@@ -232,9 +233,12 @@ TEST(PacketCrc, MatchesCrc32ReferenceOnRandomPackets)
             pkt.addr = rng.next();
             pkt.payload = payload;
             const std::uint64_t header = rng.next();
-            ASSERT_EQ(packetCrc(pkt, header), referencePacketCrc(pkt, header))
+            const std::uint32_t want = referencePacketCrc(pkt, header);
+            ASSERT_EQ(packetCrc(pkt, header), want)
                 << "payload " << payload << " id " << pkt.id << " addr "
                 << pkt.addr << " header " << header;
+            ASSERT_EQ(packetCrcPortable(pkt, header), want)
+                << "portable, payload " << payload << " id " << pkt.id;
             ++checked;
         }
     }
@@ -277,6 +281,7 @@ TEST(PacketCrc, KnownAnswers)
             encodeRequestHeader(makeRequestHeader(pkt));
         EXPECT_EQ(header, c.header) << "id " << c.id;
         EXPECT_EQ(packetCrc(pkt, header), c.crc) << "id " << c.id;
+        EXPECT_EQ(packetCrcPortable(pkt, header), c.crc) << "id " << c.id;
         EXPECT_EQ(referencePacketCrc(pkt, header), c.crc) << "id " << c.id;
     }
 }

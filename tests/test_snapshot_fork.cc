@@ -4,9 +4,9 @@
  * per sweep point must be indistinguishable -- bit for bit -- from
  * cold-starting every point. Covers the three vault backends, serial
  * vs pooled sweeps, composition with the result cache, invariant
- * checkers across a snapshot/restore cycle, and concurrent forks of
- * one warm module (the TSan job runs this binary on the runner
- * thread pool).
+ * checkers across a snapshot/restore cycle, a fork taken while a
+ * port holds a reserved issue slot, and concurrent forks of one warm
+ * module (the TSan job runs this binary on the runner thread pool).
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +14,10 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "host/ac510.hh"
 #include "host/experiment.hh"
 #include "runner/config_digest.hh"
 #include "runner/result_cache.hh"
@@ -214,6 +216,52 @@ TEST(SnapshotFork, CheckersHoldAcrossSnapshotRestore)
     RunArtifacts cold_art;
     runExperiment(cfg, {}, &cold_art);
     EXPECT_EQ(registry.digest(), cold_art.statDigest);
+}
+
+TEST(SnapshotFork, ForkKeepsReservedIssueSlots)
+{
+    // Step a warm system until a tag-starved port holds a reserved
+    // issue slot that execution has not reached, then fork mid-tick.
+    // The fork must hold the same slot (seqs and the execution
+    // position carry over) and run to the unforked run's digest.
+    Ac510Config sys = makeSystemConfig(smallConfig(BackendKind::HmcDram));
+    Ac510Module source(sys);
+    source.start();
+    source.runUntil(10 * tickUs);
+    const auto reservedPort = [](Ac510Module &m) -> int {
+        for (unsigned p = 0; p < m.numPorts(); ++p)
+            if (std::as_const(m.port(p)).holdsReservedIssueSlot())
+                return static_cast<int>(p);
+        return -1;
+    };
+    int port = reservedPort(source);
+    for (int steps = 0; port < 0 && steps < 100000; ++steps) {
+        ASSERT_TRUE(source.queue().step());
+        port = reservedPort(source);
+    }
+    ASSERT_GE(port, 0);
+
+    std::unique_ptr<Ac510Module> fork = source.fork();
+    EXPECT_TRUE(std::as_const(fork->port(static_cast<unsigned>(port)))
+                    .holdsReservedIssueSlot());
+    EXPECT_EQ(fork->queue().seqCounter(), source.queue().seqCounter());
+    EXPECT_EQ(fork->queue().doneSeqBound(), source.queue().doneSeqBound());
+
+    const Tick end = 40 * tickUs;
+    StatRegistry source_stats, fork_stats;
+    source.registerStats(source_stats, StatPath("system"));
+    fork->registerStats(fork_stats, StatPath("system"));
+    fork->runUntil(end);
+    source.runUntil(end);
+    EXPECT_EQ(fork_stats.digest(), source_stats.digest());
+
+    // And the unforked run is the plain cold run.
+    Ac510Module cold(sys);
+    StatRegistry cold_stats;
+    cold.registerStats(cold_stats, StatPath("system"));
+    cold.start();
+    cold.runUntil(end);
+    EXPECT_EQ(cold_stats.digest(), source_stats.digest());
 }
 
 TEST(SnapshotFork, ConcurrentForksOfOneWarmModule)
