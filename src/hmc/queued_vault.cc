@@ -99,8 +99,7 @@ QueuedVaultController::offer(const Packet &pkt)
         return false;
     }
     ++_stats.accepted;
-    Packet *slot = pool.acquire();
-    *slot = pkt;
+    Packet *slot = pool.acquire(pkt);
     slot->tVaultArrive = queue.now();
     bankQueues[bank_idx].push_back({slot, nextOfferSeq++});
     if (!bankState[bank_idx].busy)

@@ -12,6 +12,20 @@
 namespace hmcsim
 {
 
+namespace
+{
+
+/** Map a packet's link field onto @p num_links links. Ports number
+ *  their links in range, so the 64-bit division is the rare path. */
+unsigned
+wrapLink(unsigned link, std::size_t num_links)
+{
+    return link < num_links ? link
+                            : static_cast<unsigned>(link % num_links);
+}
+
+} // namespace
+
 HmcController::HmcController(const ControllerCalibration &cal,
                              EventQueue &queue, HmcDevice &device,
                              DeliverFn deliver)
@@ -43,10 +57,8 @@ HmcController::submitRequest(Packet &&pkt)
     // The request moves into a pooled slot here and stays in it for
     // its whole lifetime; event captures below carry only the pointer
     // (the Event inline budget forbids by-value packets).
-    Packet *req = pool.acquire();
-    *req = pkt;
-    const unsigned link =
-        static_cast<unsigned>(req->link % txLinks.size());
+    Packet *req = pool.acquire(pkt);
+    const unsigned link = wrapLink(req->link, txLinks.size());
     req->link = static_cast<std::uint8_t>(link);
 
     // The Add-Seq# / Add-CRC stages of Fig. 14: stamp the on-the-wire
@@ -90,8 +102,7 @@ HmcController::CubeArriveEvent::operator()()
     // us when the response starts back on the RX wire.
     HmcController &c = *self;
     const Tick resp_ready = c.device.handleRequest(*pkt, c.queue.now());
-    const unsigned rx_link =
-        static_cast<unsigned>(pkt->link % c.rxLinks.size());
+    const unsigned rx_link = wrapLink(pkt->link, c.rxLinks.size());
     c.queue.schedule(resp_ready, ResponseReadyEvent{self, pkt, rx_link});
 }
 

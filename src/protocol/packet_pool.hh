@@ -54,19 +54,21 @@ class PacketPool
     PacketPool &operator=(const PacketPool &) = delete;
 
     /**
-     * Take a fresh default-initialized packet slot. Amortized
+     * Take a slot holding a copy of @p init (a fresh default Packet
+     * unless given): a caller with a packet in hand copies it once
+     * instead of clearing the slot and then overwriting it. Amortized
      * allocation-free: a new block is carved only when the free list
      * is empty, which stops happening once the in-flight high-water
      * mark is reached.
      */
     Packet *
-    acquire()
+    acquire(const Packet &init = Packet{})
     {
         if (freeList.empty())
             grow();
         Packet *slot = freeList.back();
         freeList.pop_back();
-        *slot = Packet{};
+        *slot = init;
         ++numAcquired;
         const std::size_t live = numAcquired - numReleased;
         if (live > _highWater)

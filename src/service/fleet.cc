@@ -23,6 +23,35 @@ mix64(std::uint64_t v)
     return splitMix64(v); // splitMix64 advances its argument; copy.
 }
 
+/**
+ * Draw the routed request stream in arrival order and hand each
+ * request to @p visit, without holding the stream: runFleet shards it
+ * as it is drawn, generateFleetRequests collects it.
+ */
+template <typename Visit>
+void
+forEachFleetRequest(const FleetConfig &cfg, Visit &&visit)
+{
+    const std::uint64_t streamSeed =
+        deriveStreamSeed(cfg.seed, cfg.arrival);
+    const std::unique_ptr<ArrivalModel> model =
+        makeArrivalModel(cfg.arrival, streamSeed);
+    // A separate generator for client keys, so key draws never
+    // perturb the arrival-time stream (and vice versa).
+    std::uint64_t keyState = streamSeed ^ 0x9e3779b97f4a7c15ULL;
+    Xoshiro256StarStar keyRng(splitMix64(keyState));
+    const std::uint64_t keys = cfg.numKeys ? cfg.numKeys : 1;
+
+    for (std::uint64_t i = 0; i < cfg.requests; ++i) {
+        FleetRequest req;
+        req.arrival = model->next();
+        req.key = keyRng.nextBounded(keys);
+        req.node = routeRequest(cfg.router, cfg.numNodes,
+                                cfg.hotFraction, req.key, i);
+        visit(req);
+    }
+}
+
 } // namespace
 
 const char *
@@ -82,26 +111,11 @@ routeRequest(RouterPolicy policy, unsigned num_nodes,
 std::vector<FleetRequest>
 generateFleetRequests(const FleetConfig &cfg)
 {
-    const std::uint64_t streamSeed =
-        deriveStreamSeed(cfg.seed, cfg.arrival);
-    const std::unique_ptr<ArrivalModel> model =
-        makeArrivalModel(cfg.arrival, streamSeed);
-    // A separate generator for client keys, so key draws never
-    // perturb the arrival-time stream (and vice versa).
-    std::uint64_t keyState = streamSeed ^ 0x9e3779b97f4a7c15ULL;
-    Xoshiro256StarStar keyRng(splitMix64(keyState));
-    const std::uint64_t keys = cfg.numKeys ? cfg.numKeys : 1;
-
     std::vector<FleetRequest> out;
     out.reserve(cfg.requests);
-    for (std::uint64_t i = 0; i < cfg.requests; ++i) {
-        FleetRequest req;
-        req.arrival = model->next();
-        req.key = keyRng.nextBounded(keys);
-        req.node = routeRequest(cfg.router, cfg.numNodes,
-                                cfg.hotFraction, req.key, i);
+    forEachFleetRequest(cfg, [&out](const FleetRequest &req) {
         out.push_back(req);
-    }
+    });
     return out;
 }
 
@@ -123,13 +137,13 @@ runFleet(const FleetConfig &cfg)
     if (cfg.numNodes == 0)
         fatal("fleet needs at least one node");
 
-    // Shard the stream. Arrival order is preserved within each node's
-    // vector because the global stream is generated in arrival order.
-    const std::vector<FleetRequest> stream =
-        generateFleetRequests(cfg);
+    // Shard the stream as it is drawn; the routed stream itself is
+    // never held. Arrival order is preserved within each node's
+    // vector because the stream is drawn in arrival order.
     std::vector<std::vector<Tick>> perNode(cfg.numNodes);
-    for (const FleetRequest &req : stream)
+    forEachFleetRequest(cfg, [&perNode](const FleetRequest &req) {
         perNode[req.node].push_back(req.arrival);
+    });
 
     // One simulator per thread, results into pre-assigned slots
     // (the sweep runner's determinism construction).
@@ -141,10 +155,18 @@ runFleet(const FleetConfig &cfg)
         ServiceNodeConfig nodeCfg = cfg.node;
         nodeCfg.seed = fleetNodeSeed(cfg, static_cast<unsigned>(i));
         res.nodes[i] = runServiceNode(nodeCfg, perNode[i]).stats;
+        // The shard is served; release it before the merge copies
+        // every sojourn sample once more.
+        std::vector<Tick>().swap(perNode[i]);
     });
 
     // Canonical merge order; the result is order-independent anyway
-    // (service_stats.hh), belt and braces.
+    // (service_stats.hh), belt and braces. Reserving first sizes the
+    // aggregate's samples exactly instead of growing them by doubling.
+    std::uint64_t total = 0;
+    for (const ServiceStats &node : res.nodes)
+        total += node.requests;
+    res.aggregate.sojourn.reserve(total);
     for (const ServiceStats &node : res.nodes)
         res.aggregate.merge(node);
     return res;

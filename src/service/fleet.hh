@@ -4,9 +4,11 @@
  * open-loop request stream, sharded by a request router.
  *
  * The stream is generated once, in arrival order, from a
- * content-addressed seed (arrival.hh); routing assigns each request a
- * node as a pure function of (policy, key, ordinal), so shard
- * membership never depends on execution order. Nodes then simulate
+ * content-addressed seed (arrival.hh), and sharded as it is drawn --
+ * a fleet run never holds the routed stream, only each node's arrival
+ * ticks; routing assigns each request a node as a pure function of
+ * (policy, key, ordinal), so shard membership never depends on
+ * execution order. Nodes then simulate
  * independently on the runner's ThreadPool -- one simulator per
  * thread, results written into pre-assigned slots, stats merged in
  * canonical node order -- which makes every output byte-identical at
@@ -84,7 +86,8 @@ unsigned routeRequest(RouterPolicy policy, unsigned num_nodes,
                       double hot_fraction, std::uint64_t key,
                       std::uint64_t ordinal);
 
-/** Generate and route the full request stream, in arrival order. */
+/** Generate and route the full request stream, in arrival order: the
+ *  same draws runFleet shards without collecting them. */
 std::vector<FleetRequest> generateFleetRequests(const FleetConfig &cfg);
 
 /** Content-addressed per-node seed (never 0). */

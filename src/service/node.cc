@@ -50,6 +50,9 @@ runServiceNode(const ServiceNodeConfig &cfg,
                const std::vector<Tick> &arrivals)
 {
     ServiceNodeResult res;
+    // One sojourn sample per arrival: runToCompletion below completes
+    // every arrival exactly once.
+    res.stats.sojourn.reserve(arrivals.size());
     VectorArrivalFeed feed(arrivals, res.stats);
 
     // One port per node: the feed is single-consumer, and one port's

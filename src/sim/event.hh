@@ -77,6 +77,22 @@ class Event
               typename = std::enable_if_t<!std::is_same_v<D, Event>>>
     Event(F &&fn) // NOLINT(google-explicit-constructor)
     {
+        emplace(std::forward<F>(fn));
+    }
+
+    /**
+     * Drop any stored callable, then construct @p fn directly in this
+     * Event's storage. Building an Event elsewhere and moving it here
+     * relocates the capture once more, re-reading a stack temporary
+     * that was only just written; emplacing builds it once, where it
+     * will run.
+     */
+    template <typename F, typename D = std::decay_t<F>>
+    void
+    emplace(F &&fn)
+    {
+        static_assert(!std::is_same_v<D, Event>,
+                      "move-assign an Event instead of emplacing it");
         static_assert(std::is_invocable_r_v<void, D &>,
                       "Event callables take no arguments and return "
                       "void");
@@ -92,6 +108,7 @@ class Event
                       "event captures must be nothrow "
                       "move-constructible (the queue relocates "
                       "entries)");
+        reset();
         ::new (static_cast<void *>(storage)) D(std::forward<F>(fn));
         invoke_ = &invokeAs<D>;
         if constexpr (!(std::is_trivially_copyable_v<D> &&
@@ -116,7 +133,7 @@ class Event
     operator=(Event &&other) noexcept
     {
         if (this != &other) {
-            clear();
+            reset();
             moveFrom(other);
         }
         return *this;
@@ -125,7 +142,18 @@ class Event
     Event(const Event &) = delete;
     Event &operator=(const Event &) = delete;
 
-    ~Event() { clear(); }
+    ~Event() { reset(); }
+
+    /** Destroy the stored callable, if any, leaving the Event empty. */
+    void
+    reset()
+    {
+        if (manager_) {
+            manager_(Op::Destroy, storage, nullptr);
+            manager_ = nullptr;
+        }
+        invoke_ = nullptr;
+    }
 
     /** True when a callable is stored. */
     explicit operator bool() const { return invoke_ != nullptr; }
@@ -170,16 +198,6 @@ class Event
         Relocate,
         Destroy,
     };
-
-    void
-    clear()
-    {
-        if (manager_) {
-            manager_(Op::Destroy, storage, nullptr);
-            manager_ = nullptr;
-        }
-        invoke_ = nullptr;
-    }
 
     void
     moveFrom(Event &other)

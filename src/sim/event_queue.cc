@@ -57,11 +57,10 @@ EventQueue::acquireNode()
     return id;
 }
 
-void
-EventQueue::insert(Tick when, std::uint64_t seq, Event &&ev)
+EventQueue::NodeId
+EventQueue::place(Tick when, std::uint64_t seq)
 {
     const NodeId id = acquireNode();
-    eventOf(id) = std::move(ev);
     nodes[id].when = when;
     nodes[id].seq = seq;
     ++numPending;
@@ -69,7 +68,7 @@ EventQueue::insert(Tick when, std::uint64_t seq, Event &&ev)
     const std::uint64_t abs = bucketOf(when);
     if (abs > cursorBucket && abs - cursorBucket < numBuckets) {
         linkIntoWheel(id, abs);
-        return;
+        return id;
     }
     const Key key{when, seq, id};
     if (abs == cursorBucket) {
@@ -83,7 +82,7 @@ EventQueue::insert(Tick when, std::uint64_t seq, Event &&ev)
                 return a.when != b.when ? a.when < b.when : a.seq < b.seq;
             });
         current.insert(pos, key);
-        return;
+        return id;
     }
     if (abs < cursorBucket) {
         // The cursor ran ahead over empty buckets (e.g. a peek past
@@ -96,12 +95,13 @@ EventQueue::insert(Tick when, std::uint64_t seq, Event &&ev)
         drainIdx = 0;
         cursorBucket = abs;
         current.push_back(key);
-        return;
+        return id;
     }
     if (abs < stagingMinBucket)
         stagingMinBucket = abs;
     staging.push_back(key);
     ++overflowCount;
+    return id;
 }
 
 void
@@ -284,7 +284,7 @@ EventQueue::executeNext()
     // recycled only after it returns.
     Event &ev = eventOf(key.node);
     ev();
-    ev = Event{};
+    ev.reset();
     nodes[key.node].next = freeHead;
     freeHead = key.node;
     if (checkerRegistry && ++eventsSinceCheck >= checkEveryN) {
@@ -419,7 +419,7 @@ EventQueue::reset()
     freeHead = noNode;
     for (std::size_t c = chunks.size(); c-- > 0;) {
         for (std::size_t i = chunkEvents; i-- > 0;) {
-            chunks[c][i] = Event{};
+            chunks[c][i].reset();
             const std::size_t id = c * chunkEvents + i;
             nodes[id].next = freeHead;
             freeHead = static_cast<NodeId>(id);

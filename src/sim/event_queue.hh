@@ -46,6 +46,8 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/check.hh"
@@ -99,20 +101,24 @@ class EventQueue
     /**
      * Schedule a callback at an absolute tick.
      * @param when Absolute time; must be >= now().
-     * @param ev Callback to run (any callable fitting the Event
-     *        inline-capture budget, see sim/event.hh).
+     * @param fn Callback to run: any callable fitting the Event
+     *        inline-capture budget (sim/event.hh), constructed in
+     *        place in its slab node, or an Event already built.
      */
+    template <typename F>
     void
-    schedule(Tick when, Event &&ev)
+    schedule(Tick when, F &&fn)
     {
         checkNotPast(when);
-        insert(when, nextSeq++, std::move(ev));
+        store(place(when, nextSeq++), std::forward<F>(fn));
     }
 
     /** Schedule a callback @p delta ticks in the future. */
-    void scheduleIn(Tick delta, Event &&ev)
+    template <typename F>
+    void
+    scheduleIn(Tick delta, F &&fn)
     {
-        schedule(_now + delta, std::move(ev));
+        schedule(_now + delta, std::forward<F>(fn));
     }
 
     /** A place in the (when, seq) execution order. */
@@ -138,8 +144,9 @@ class EventQueue
 
     /** Schedule a callback into a reserved slot (or a snapshot
      *  source's (when, seq)); the slot must not have passed. */
+    template <typename F>
     void
-    schedule(Slot slot, Event &&ev)
+    schedule(Slot slot, F &&fn)
     {
         checkNotPast(slot.when);
         HMCSIM_DCHECK(!passed(slot) && slot.seq < nextSeq,
@@ -147,7 +154,7 @@ class EventQueue
                       "(when=%llu seq=%llu)",
                       static_cast<unsigned long long>(slot.when),
                       static_cast<unsigned long long>(slot.seq));
-        insert(slot.when, slot.seq, std::move(ev));
+        store(place(slot.when, slot.seq), std::forward<F>(fn));
     }
 
     /** True once execution has moved past @p slot: an event there
@@ -296,9 +303,23 @@ class EventQueue
                      static_cast<unsigned long long>(_now));
     }
 
-    /** Store @p ev at (@p when, @p seq), the one insertion routine
-     *  behind both schedule() overloads. */
-    void insert(Tick when, std::uint64_t seq, Event &&ev);
+    /** Take a node for (@p when, @p seq) and link it into the
+     *  calendar, the one insertion routine behind both schedule()
+     *  overloads. The caller stores the callback in the returned node
+     *  before anything can run. */
+    NodeId place(Tick when, std::uint64_t seq);
+
+    /** Store @p fn in node @p id: an Event moves in, any other
+     *  callable is built in place. */
+    template <typename F>
+    void
+    store(NodeId id, F &&fn)
+    {
+        if constexpr (std::is_same_v<std::decay_t<F>, Event>)
+            eventOf(id) = std::forward<F>(fn);
+        else
+            eventOf(id).emplace(std::forward<F>(fn));
+    }
 
     /** Pop the next key (already located by peekNext) and execute it
      *  at its tick (shared by step/runUntil). */

@@ -60,6 +60,10 @@ class TickQuantiles
     /** Fold another accumulator's samples into this one. */
     void merge(const TickQuantiles &other);
 
+    /** Make room for @p n samples in all, so a caller that knows its
+     *  sample count grows the buffer once and exactly. */
+    void reserve(std::size_t n) { samples.reserve(n); }
+
     std::uint64_t count() const { return samples.size(); }
 
     /** Nearest-rank p-quantile in ticks; 0 when empty. */

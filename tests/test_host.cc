@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "host/ac510.hh"
 #include "host/calibration.hh"
 #include "host/experiment.hh"
@@ -80,6 +82,35 @@ TEST(Controller, BiggerPacketsSpendLongerOnTheWire)
     for (const auto &s : ctrl.txStageBreakdown(144))
         tx_large += s.ns;
     EXPECT_GT(tx_large, tx_small);
+}
+
+TEST(Controller, OutOfRangeLinkLandsOnLinkModuloNumLinks)
+{
+    const ControllerCalibration cal;
+    ASSERT_EQ(cal.numLinks, 2u);
+    EventQueue queue;
+    HmcDevice device{HmcDeviceConfig{}};
+    // Delivered link per request tag.
+    std::vector<int> deliveredLink(6, -1);
+    HmcController ctrl(cal, queue, device,
+                       [&deliveredLink](const Packet &pkt) {
+                           deliveredLink.at(pkt.tag) = pkt.link;
+                       });
+    const std::uint8_t links[] = {0, 1, 2, 3, 7, 255};
+    for (std::uint16_t tag = 0; tag < 6; ++tag) {
+        Packet pkt;
+        pkt.cmd = Command::Read;
+        pkt.payload = 16;
+        pkt.addr = Addr(tag) << 12;
+        pkt.tag = tag;
+        pkt.link = links[tag];
+        ctrl.submitRequest(std::move(pkt));
+    }
+    queue.runToCompletion();
+    EXPECT_EQ(ctrl.stats().responsesDelivered, 6u);
+    for (std::uint16_t tag = 0; tag < 6; ++tag)
+        EXPECT_EQ(deliveredLink[tag], links[tag] % 2) << "link "
+                                                      << int(links[tag]);
 }
 
 TEST(Ac510, RejectsBadPortCounts)

@@ -96,8 +96,10 @@ TEST_P(MapperUniformity, BankLocalAddressesNeverExceedBankSize)
 std::string
 mapperName(const ::testing::TestParamInfo<MapperParam> &info)
 {
-    std::string name =
-        "B" + std::to_string(static_cast<unsigned>(info.param.maxBlock));
+    // Appended rather than `"B" + std::to_string(...)`, which GCC 12
+    // flags with -Werror=restrict at -O3.
+    std::string name = "B";
+    name += std::to_string(static_cast<unsigned>(info.param.maxBlock));
     switch (info.param.scheme) {
       case MappingScheme::VaultFirst:
         name += "_vaultfirst";

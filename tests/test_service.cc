@@ -21,8 +21,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "service/arrival.hh"
@@ -443,5 +446,91 @@ TEST(Fleet, GeneratedStreamRespectsRouterAndArrivalOrder)
         EXPECT_EQ(stream[i].node,
                   routeRequest(cfg.router, cfg.numNodes, cfg.hotFraction,
                                stream[i].key, i));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fleet goldens: node and aggregate stat digests of runFleet, recorded
+// while runFleet still materialized the whole routed request stream
+// before sharding it. Arrivals are now sharded as they are drawn and
+// sojourn buffers are reserved exactly; neither may move a byte.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+std::string
+hex64(std::uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
+    return buf;
+}
+
+struct FleetGoldenCase
+{
+    const char *name;
+    RouterPolicy router;
+    ArrivalKind arrival;
+    /** Node digests in node order, then the aggregate's. */
+    std::vector<std::string> digests;
+};
+
+FleetConfig
+goldenFleetConfig(const FleetGoldenCase &c)
+{
+    FleetConfig cfg;
+    cfg.numNodes = 4;
+    cfg.requests = 3000;
+    cfg.router = c.router;
+    cfg.hotFraction = 0.4;
+    cfg.numKeys = 64;
+    cfg.seed = 2017;
+    cfg.arrival.kind = c.arrival;
+    cfg.arrival.ratePerSec = 2e7;
+    cfg.arrival.burstRatePerSec = 6e7;
+    cfg.arrival.meanCalmTicks = 20 * tickUs;
+    cfg.arrival.meanBurstTicks = 5 * tickUs;
+    if (c.arrival == ArrivalKind::Diurnal)
+        cfg.arrival.trace = {{10 * tickUs, 1.0}, {10 * tickUs, 0.25}};
+    cfg.node.requestSize = 32;
+    return cfg;
+}
+
+const std::vector<FleetGoldenCase> &
+fleetGoldenCases()
+{
+    static const std::vector<FleetGoldenCase> cases = {
+        {"uniform_poisson", RouterPolicy::Uniform, ArrivalKind::Poisson,
+         {"327809007acb33f5", "29a726adeb4824e5", "bdf023cd320fbf4b",
+          "831baea8c009673c", "82cf9d490833a6fa"}},
+        {"keyed_mmpp", RouterPolicy::Keyed, ArrivalKind::Mmpp,
+         {"bfa4cb11bf55df11", "7a4cf5443c07b6d9", "1811206fa7ffe285",
+          "d2efda1579a9a8b5", "5a8cad3a316ce98f"}},
+        {"hotspot_diurnal", RouterPolicy::HotSpot, ArrivalKind::Diurnal,
+         {"68cac6e4dd1341a3", "1aace807c17bf720", "af05d5c602bd0f94",
+          "03243e292e1db282", "e47e987e8345bb26"}},
+    };
+    return cases;
+}
+
+} // namespace
+
+TEST(FleetGolden, NodeAndAggregateDigests)
+{
+    for (const FleetGoldenCase &c : fleetGoldenCases()) {
+        for (const unsigned jobs : {1u, 4u}) {
+            FleetConfig cfg = goldenFleetConfig(c);
+            cfg.jobs = jobs;
+            const FleetResult res = runFleet(cfg);
+            ASSERT_EQ(res.nodes.size(), c.digests.size() - 1) << c.name;
+            for (std::size_t n = 0; n < res.nodes.size(); ++n) {
+                EXPECT_EQ(hex64(res.nodes[n].digest()), c.digests[n])
+                    << c.name << " jobs " << jobs << " node " << n;
+            }
+            EXPECT_EQ(hex64(res.aggregate.digest()), c.digests.back())
+                << c.name << " jobs " << jobs << " aggregate";
+            EXPECT_EQ(res.aggregate.requests, cfg.requests) << c.name;
+        }
     }
 }
